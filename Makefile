@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet fmt-check test race bench bench-json bench-check bench-step bench-ckpt bench-serve bench-queen bench-stream chaos-check obs-check replay-check serve-check stream-check queen-check vulncheck
+.PHONY: verify build vet fmt-check test race bench bench-json bench-check bench-step bench-ckpt bench-serve bench-queen bench-stream chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
 
-verify: build vet fmt-check race bench-check chaos-check obs-check replay-check serve-check stream-check queen-check vulncheck
+verify: build vet fmt-check race bench-check chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
 
 build:
 	$(GO) build ./...
@@ -134,6 +134,13 @@ bench-queen:
 # BENCH_serve.json (the serve table in EXPERIMENTS.md).
 bench-serve:
 	$(GO) run ./cmd/waggle-load -out BENCH_serve.json
+
+# Benchmark-module gate: bench/ is its own Go module (the harness
+# BENCHMARK.json runs), so `go build ./...` and the race suite above
+# never compile it, yet it calls into wire, sim and serve. Vet it and
+# run its smoke-size workloads and unit tests under the race detector.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -race -count=1 ./...
 
 # Known-vulnerability scan, skipped gracefully when govulncheck is not
 # installed or its database is unreachable (offline CI).

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 
 	"waggle/internal/ckpt"
@@ -65,14 +66,20 @@ func SaveCheckpoint(path string, ck *Checkpoint, codec ...CheckpointCodec) error
 	default:
 		return fmt.Errorf("waggle: SaveCheckpoint takes at most one codec, got %d", len(codec))
 	}
+	var data []byte
+	var err error
 	switch c {
 	case CodecJSON:
-		return ckpt.SaveFile(path, ck)
+		data, err = ckpt.Encode(ck)
 	case CodecBinary, CodecDelta:
-		return ckpt.SaveFile(path, ck, wire.CodecName)
+		data, err = wire.Encode(ck)
 	default:
 		return fmt.Errorf("waggle: unknown checkpoint codec %d", int(c))
 	}
+	if err != nil {
+		return err
+	}
+	return ckpt.WriteFileAtomic(path, data)
 }
 
 // LoadCheckpoint reads and validates the checkpoint at path,
@@ -80,14 +87,41 @@ func SaveCheckpoint(path string, ck *Checkpoint, codec ...CheckpointCodec) error
 // base+delta chain — chains are folded into one checkpoint). Failure
 // modes are typed: ErrCheckpointSchema, ErrCheckpointChecksum,
 // ErrCheckpointTruncated.
-func LoadCheckpoint(path string) (*Checkpoint, error) { return ckpt.LoadFile(path) }
+func LoadCheckpoint(path string) (*Checkpoint, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("waggle: read checkpoint: %w", err)
+	}
+	ck, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return ck, nil
+}
 
 // WriteCheckpoint writes ck to w (non-atomic; SaveCheckpoint is the
 // crash-safe file variant).
 func WriteCheckpoint(w io.Writer, ck *Checkpoint) error { return ckpt.Save(w, ck) }
 
-// ReadCheckpoint reads and validates a checkpoint from r.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) { return ckpt.Load(r) }
+// ReadCheckpoint reads and validates a checkpoint from r, auto-detecting
+// the format like LoadCheckpoint.
+func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("waggle: read checkpoint: %w", err)
+	}
+	return decodeCheckpoint(data)
+}
+
+// decodeCheckpoint picks the decoder by the data's leading magic: the
+// binary format announces itself, anything else is read as the JSON
+// envelope.
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
+	if wire.Detect(data) {
+		return wire.Decode(data)
+	}
+	return ckpt.Decode(data)
+}
 
 // Checkpoint captures a resumable image of the swarm — and of its
 // coupled Radio and BackupMessenger, if any — at the current instant.

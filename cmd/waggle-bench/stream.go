@@ -93,7 +93,7 @@ func (t *benchTap) EndStep(tm int, active []int) {
 		t.err = err
 	}
 	t.moves = t.moves[:0]
-	if t.sinceKey++; t.sinceKey >= t.w.Cadence() && t.err == nil {
+	if t.sinceKey++; t.sinceKey >= wire.StreamKeyframeEvery && t.err == nil {
 		t.sinceKey = 0
 		t.err = t.w.AppendKeyframe(tm+1, worldXY(t.world), 0, "")
 	}
@@ -123,7 +123,7 @@ func measureStreamStep(n int, path string, steps, warm int) (StreamResult, error
 	var startOff int64
 	if path != "" {
 		name = "stream-step/on"
-		sw, err := wire.OpenStream(path, n, 0, 0)
+		sw, err := wire.OpenStream(path, n)
 		if err != nil {
 			return StreamResult{}, err
 		}
@@ -179,7 +179,7 @@ func measureJoin(dir string, n, steps int) (*StreamJoin, error) {
 		return nil, err
 	}
 	path := filepath.Join(dir, "join.wstream")
-	sw, err := wire.OpenStream(path, n, 0, 0)
+	sw, err := wire.OpenStream(path, n)
 	if err != nil {
 		return nil, err
 	}

@@ -25,46 +25,6 @@ var (
 	ErrTruncated = errors.New("ckpt: truncated or malformed checkpoint")
 )
 
-// Codec is a pluggable checkpoint serialization format. The JSON
-// envelope ("waggle-ckpt/v1") is built in; the binary format
-// ("waggle-ckpt/v2", package internal/wire) registers itself on import.
-// The registry lives here rather than in the wire package so decoding
-// can auto-detect formats without this package importing its own
-// codecs.
-type Codec struct {
-	// Name selects the codec in SaveFile/EncodeAs ("json", "binary").
-	Name string
-	// Encode serializes a checkpoint to the codec's wire form.
-	Encode func(*Checkpoint) ([]byte, error)
-	// Decode parses the codec's wire form, returning the package's
-	// typed sentinels (ErrSchema/ErrChecksum/ErrTruncated) on failure.
-	Decode func([]byte) (*Checkpoint, error)
-	// Detect reports whether data is in this codec's format; Decode
-	// auto-detection tries each registered codec before falling back to
-	// the JSON envelope.
-	Detect func([]byte) bool
-}
-
-var codecs []Codec
-
-// RegisterCodec adds a codec to the auto-detection chain. Called from
-// codec package init functions; not safe for concurrent use.
-func RegisterCodec(c Codec) {
-	codecs = append(codecs, c)
-}
-
-// LookupCodec finds a registered codec by name. The built-in JSON
-// envelope is not in the registry; callers use Encode/Decode directly
-// for it (or pass "json" to SaveFile).
-func LookupCodec(name string) (Codec, bool) {
-	for _, c := range codecs {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Codec{}, false
-}
-
 // envelope is the on-disk frame: the schema tag, an IEEE CRC32 over the
 // raw body bytes, and the body itself. The CRC is computed over the
 // exact serialized body, so any post-write corruption — inside the body
@@ -93,33 +53,10 @@ func Encode(ck *Checkpoint) ([]byte, error) {
 	return data, nil
 }
 
-// EncodeAs serializes a checkpoint with the named codec. The empty
-// string and "json" select the built-in envelope; any other name must
-// have been registered (importing the codec package registers it).
-func EncodeAs(ck *Checkpoint, codec string) ([]byte, error) {
-	switch codec {
-	case "", "json":
-		return Encode(ck)
-	}
-	c, ok := LookupCodec(codec)
-	if !ok {
-		return nil, fmt.Errorf("ckpt: unknown codec %q (codec package not imported?)", codec)
-	}
-	return c.Encode(ck)
-}
-
-// Decode parses and validates the wire form, auto-detecting the format:
-// each registered codec's Detect is tried first (binary files announce
-// themselves with a magic), then the JSON envelope — so a loader never
-// needs to know which codec wrote a file. For the envelope the checks
-// run in order — shape, schema version, body checksum, body shape — so
-// the error names the outermost failure.
+// Decode parses and validates the JSON envelope. The checks run in
+// order — shape, schema version, body checksum, body shape — so the
+// error names the outermost failure.
 func Decode(data []byte) (*Checkpoint, error) {
-	for _, c := range codecs {
-		if c.Detect(data) {
-			return c.Decode(data)
-		}
-	}
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
@@ -149,30 +86,12 @@ func Save(w io.Writer, ck *Checkpoint) error {
 	return nil
 }
 
-// Load reads and decodes a checkpoint from r.
-func Load(r io.Reader) (*Checkpoint, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: read: %w", err)
-	}
-	return Decode(data)
-}
-
-// SaveFile writes the checkpoint atomically in the named codec
-// (default: the JSON envelope; at most one codec name). A crash
+// SaveFile writes the checkpoint's JSON envelope atomically. A crash
 // mid-save leaves either the previous checkpoint or none — never a
 // torn file that Decode would then reject at the worst possible
 // moment.
-func SaveFile(path string, ck *Checkpoint, codec ...string) error {
-	name := ""
-	switch len(codec) {
-	case 0:
-	case 1:
-		name = codec[0]
-	default:
-		return fmt.Errorf("ckpt: SaveFile takes at most one codec, got %d", len(codec))
-	}
-	data, err := EncodeAs(ck, name)
+func SaveFile(path string, ck *Checkpoint) error {
+	data, err := Encode(ck)
 	if err != nil {
 		return err
 	}

@@ -1,26 +1,29 @@
 package queen
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
+
+	"waggle/internal/wire"
 )
 
-// The journal is the queen's durable task-graph state: a JSONL file
-// whose first line records the campaign spec and whose subsequent
-// lines record shard completions and the final merge, each fsynced
-// before the triggering request is acknowledged. A restarted queen
-// replays it to resume the campaign without re-running finished
-// shards. Leases and snapshots are deliberately NOT journaled — they
-// are volatile coordination state, reconstructed by the live protocol
-// (a shard in flight when the queen died is simply leased again).
+// The journal is the queen's durable task-graph state: a framed file
+// (wire.JournalFormat, one JSON event per frame) whose first record is
+// the campaign spec and whose later records are shard completions and
+// the final merge, each fsynced before the triggering request is
+// acknowledged. A restarted queen replays it to resume the campaign
+// without re-running finished shards. Leases and snapshots are
+// deliberately NOT journaled — they are volatile coordination state,
+// reconstructed by the live protocol (a shard in flight when the queen
+// died is simply leased again).
 //
-// A torn final line (queen killed mid-append) is tolerated on read:
-// the event it described simply did not happen.
+// A torn final record (queen killed mid-append) follows the frame
+// layer's torn-tail rule: the event it described simply did not
+// happen, and reopening the journal truncates it before appending.
 
-// journalEvent is one JSONL record.
+// journalEvent is one journal record.
 type journalEvent struct {
 	Ev string `json:"ev"` // "campaign" | "done" | "merged"
 	// Spec is set on "campaign".
@@ -40,43 +43,38 @@ type journalWriter struct {
 // gets the campaign record; an existing one must already describe the
 // same campaign — NewFromJournal is the path for resuming.
 func openJournal(path string, spec Spec) (*journalWriter, error) {
-	st, err := os.Stat(path)
-	fresh := err != nil || st.Size() == 0
-	if !fresh {
-		rec, err := readJournal(path)
-		if err != nil {
-			return nil, err
-		}
-		if !specEqual(spec, rec.spec) {
-			return nil, fmt.Errorf("queen: journal %s holds a different campaign; resume it with -journal alone or point -journal elsewhere", path)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	rec := &journalRecord{results: map[string]json.RawMessage{}}
+	f, end, err := wire.OpenAppend(path, wire.JournalFormat, rec.add)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("queen: journal %s: %w", path, err)
 	}
 	jw := &journalWriter{f: f}
-	if fresh {
+	if end == 0 {
 		if err := jw.append(journalEvent{Ev: "campaign", Spec: &spec}); err != nil {
 			f.Close()
 			return nil, err
 		}
+		return jw, nil
+	}
+	if !specEqual(spec, rec.spec) {
+		f.Close()
+		return nil, fmt.Errorf("queen: journal %s holds a different campaign; resume it with -journal alone or point -journal elsewhere", path)
 	}
 	return jw, nil
 }
 
 func (jw *journalWriter) append(ev journalEvent) error {
-	line, err := json.Marshal(ev)
+	body, err := json.Marshal(ev)
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
+	frame, _ := wire.EncodeFrame(wire.JournalFormat.Next, 0, body)
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
 	if jw.f == nil {
 		return fmt.Errorf("queen: journal closed")
 	}
-	if _, err := jw.f.Write(line); err != nil {
+	if _, err := jw.f.Write(frame); err != nil {
 		return fmt.Errorf("queen: journal append: %w", err)
 	}
 	if err := jw.f.Sync(); err != nil {
@@ -110,55 +108,45 @@ type journalRecord struct {
 	merged  bool
 }
 
-// readJournal replays the journal at path. The last line may be torn;
-// any other malformed line is corruption and an error.
+// add replays one journal frame: the campaign record first, then
+// completions and the merge.
+func (rec *journalRecord) add(fr wire.Frame) error {
+	var ev journalEvent
+	if err := json.Unmarshal(fr.Body, &ev); err != nil {
+		return fmt.Errorf("record at offset %d: %w", fr.Off, err)
+	}
+	if fr.Off == 0 {
+		if ev.Ev != "campaign" || ev.Spec == nil {
+			return fmt.Errorf("journal does not start with a campaign record")
+		}
+		rec.spec = *ev.Spec
+		return nil
+	}
+	switch ev.Ev {
+	case "done":
+		rec.results[ev.Shard] = ev.Result
+	case "merged":
+		rec.merged = true
+	default:
+		return fmt.Errorf("record at offset %d: unexpected event %q", fr.Off, ev.Ev)
+	}
+	return nil
+}
+
+// readJournal replays the journal at path. A torn final record is
+// dropped; any other damage is an error.
 func readJournal(path string) (*journalRecord, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	rec := &journalRecord{results: map[string]json.RawMessage{}}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	var torn error
-	n := 0
-	for sc.Scan() {
-		if torn != nil {
-			return nil, fmt.Errorf("queen: journal %s line %d: %w", path, n, torn)
-		}
-		n++
-		var ev journalEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			// Tolerated only as the final line (torn append).
-			torn = err
-			continue
-		}
-		switch ev.Ev {
-		case "campaign":
-			if n != 1 {
-				return nil, fmt.Errorf("queen: journal %s: campaign record on line %d", path, n)
-			}
-			rec.spec = *ev.Spec
-		case "done":
-			if n == 1 {
-				return nil, fmt.Errorf("queen: journal %s does not start with a campaign record", path)
-			}
-			rec.results[ev.Shard] = ev.Result
-		case "merged":
-			rec.merged = true
-		default:
-			return nil, fmt.Errorf("queen: journal %s line %d: unknown event %q", path, n, ev.Ev)
-		}
+	end, _, err := wire.ScanFrames(data, wire.JournalFormat, rec.add)
+	if err != nil {
+		return nil, fmt.Errorf("queen: journal %s: %w", path, err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("queen: journal %s is empty", path)
-	}
-	if rec.spec.Kind == "" {
-		return nil, fmt.Errorf("queen: journal %s does not start with a campaign record", path)
+	if end == 0 {
+		return nil, fmt.Errorf("queen: journal %s holds no complete campaign record", path)
 	}
 	return rec, nil
 }

@@ -16,6 +16,11 @@ type metrics struct {
 	// Pending/Leased/DoneShards are the current task-graph population;
 	// Workers the distinct workers seen.
 	Pending, Leased, DoneShards, Workers *obs.Gauge
+	// ShardSeconds is the lease-to-complete wall time of every shard.
+	// Wall-clock, therefore volatile (excluded from deterministic
+	// snapshots). One histogram for all workers: worker names come from
+	// clients and must not mint metric names.
+	ShardSeconds *obs.Histogram
 }
 
 func newMetrics(r *obs.Registry) metrics {
@@ -32,6 +37,7 @@ func newMetrics(r *obs.Registry) metrics {
 		Leased:        r.Gauge("waggle_queen_shards_leased", "Shards currently leased out."),
 		DoneShards:    r.Gauge("waggle_queen_shards_done", "Shards completed."),
 		Workers:       r.Gauge("waggle_queen_workers", "Distinct workers that have requested a lease."),
+		ShardSeconds:  r.Histogram("waggle_queen_shard_seconds", "Wall-clock shard latency, lease to completion.", shardSecondsBounds, true),
 	}
 }
 
@@ -39,32 +45,4 @@ func newMetrics(r *obs.Registry) metrics {
 // bottom, a cold full-budget scenario with stalls near the top.
 var shardSecondsBounds = []float64{
 	5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
-}
-
-// observeShardSecondsLocked records one shard's lease-to-complete wall
-// time on the per-worker latency histogram, created on first sight of
-// the worker. Wall-clock, therefore volatile (excluded from
-// deterministic snapshots).
-func (q *Queen) observeShardSecondsLocked(worker string, seconds float64) {
-	h, ok := q.shardSeconds[worker]
-	if !ok {
-		h = q.reg.Histogram("waggle_queen_shard_seconds_"+sanitizeMetric(worker),
-			"Wall-clock shard latency on worker "+worker+".", shardSecondsBounds, true)
-		q.shardSeconds[worker] = h
-	}
-	h.Observe(seconds)
-}
-
-// sanitizeMetric maps an arbitrary worker name into the metric-name
-// alphabet.
-func sanitizeMetric(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-		default:
-			b[i] = '_'
-		}
-	}
-	return string(b)
 }

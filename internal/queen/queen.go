@@ -144,9 +144,7 @@ type Queen struct {
 	report   []byte
 	jw       *journalWriter
 
-	m            metrics
-	reg          *obs.Registry
-	shardSeconds map[string]*obs.Histogram
+	m metrics
 
 	doneCh chan struct{}
 	stopCh chan struct{}
@@ -170,17 +168,15 @@ func New(opts Options, ob *obs.Observer) (*Queen, error) {
 		ob = obs.New(16)
 	}
 	q := &Queen{
-		opts:         opts,
-		engine:       engine,
-		shards:       map[string]*shard{},
-		order:        names,
-		rng:          rand.New(rand.NewSource(opts.Spec.Seed ^ 0x5eed)),
-		workers:      map[string]bool{},
-		m:            newMetrics(ob.Registry()),
-		reg:          ob.Registry(),
-		shardSeconds: map[string]*obs.Histogram{},
-		doneCh:       make(chan struct{}),
-		stopCh:       make(chan struct{}),
+		opts:    opts,
+		engine:  engine,
+		shards:  map[string]*shard{},
+		order:   names,
+		rng:     rand.New(rand.NewSource(opts.Spec.Seed ^ 0x5eed)),
+		workers: map[string]bool{},
+		m:       newMetrics(ob.Registry()),
+		doneCh:  make(chan struct{}),
+		stopCh:  make(chan struct{}),
 	}
 	for _, n := range names {
 		q.shards[n] = &shard{name: n}
@@ -516,7 +512,7 @@ func (q *Queen) complete(name string, result json.RawMessage) error {
 	sh.token = ""
 	q.m.Completed.Inc()
 	if worker != "" && !leasedAt.IsZero() {
-		q.observeShardSecondsLocked(worker, time.Since(leasedAt).Seconds())
+		q.m.ShardSeconds.Observe(time.Since(leasedAt).Seconds())
 	}
 	jw := q.jw
 	q.syncGauges()

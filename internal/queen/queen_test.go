@@ -3,6 +3,7 @@ package queen
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"waggle"
+	"waggle/internal/obs"
 	"waggle/internal/retry"
 	"waggle/internal/sweep"
 )
@@ -384,4 +386,70 @@ func mustResult(t *testing.T, name string) json.RawMessage {
 		t.Fatal(err)
 	}
 	return raw
+}
+
+// TestShardSecondsIgnoresWorkerNames: worker names come from clients,
+// so they must not mint metric names. Two names that sanitize alike
+// (w-1, w.1) both complete a shard; the exposition stays valid and the
+// queen keeps answering leases.
+func TestShardSecondsIgnoresWorkerNames(t *testing.T) {
+	ob := obs.New(16)
+	q, err := New(Options{Spec: Spec{Kind: "chaos", Seed: 1, Engine: "sequential",
+		Names: []string{"crash-sync", "radio-outage", "combined"}}}, ob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Start()
+	defer q.Stop()
+	mux := obs.Mux(ob)
+	q.Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	client := &http.Client{Timeout: 10 * time.Second}
+	post := func(path string, req, resp any) {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := client.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer r.Body.Close()
+		if r.StatusCode != http.StatusOK && r.StatusCode != http.StatusNoContent {
+			t.Fatalf("POST %s: status %d", path, r.StatusCode)
+		}
+		if resp != nil {
+			if err := json.NewDecoder(r.Body).Decode(resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, worker := range []string{"w-1", "w.1"} {
+		var grant LeaseResponse
+		post("/queen/v1/lease", LeaseRequest{Worker: worker}, &grant)
+		post("/queen/v1/complete", CompleteRequest{Worker: worker, Name: grant.Name, Token: grant.Token,
+			Result: json.RawMessage(`{}`)}, nil)
+	}
+	r, err := client.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidateExposition(string(text)); err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	if !bytes.Contains(text, []byte("waggle_queen_shard_seconds_count 2\n")) {
+		t.Errorf("/metrics lacks one shard histogram holding both completions:\n%s", text)
+	}
+	var grant LeaseResponse
+	post("/queen/v1/lease", LeaseRequest{Worker: "w2"}, &grant)
+	if grant.Name != "combined" {
+		t.Fatalf("lease after the completions granted %+v, want the last shard", grant)
+	}
 }

@@ -1,6 +1,7 @@
 package queen
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -14,18 +15,21 @@ import (
 	"waggle/internal/wire"
 )
 
-// The repo has three append-only durable formats, each promising the
-// same crash contract: a writer killed mid-append costs exactly the
-// torn trailing record, never the file. This suite drives all three
-// readers — waggle-stream/v1 (wire.TailStream), the WCD2 checkpoint
-// delta chain (wire.DecodeChain), and the queen's JSONL journal
-// (readJournal) — through the same table of mutilations: the final
-// record cut mid-magic, mid-length-header, mid-CRC, and mid-body, plus
-// a complete final record with a corrupted body. Every cut must load
-// as exactly the clean prefix; the corruption case must be refused by
-// the CRC-framed formats (a complete record with a bad checksum cannot
-// be a crash artifact) and tolerated by the journal only because its
-// line framing cannot tell corruption from a torn append.
+// The repo has three append-only durable formats — waggle-stream/v1
+// (wire.TailStream), the WCD2 checkpoint delta chain
+// (wire.DecodeChain), and the queen's journal (readJournal) — all built
+// on the one frame layer in internal/wire, so all promise the same
+// crash contract: a writer killed mid-append costs exactly the torn
+// trailing record, never the file. This suite drives all three readers
+// through the same table of mutilations and pins the single torn-tail
+// rule:
+//
+//   - the final record cut mid-magic, mid-length, mid-CRC or mid-body
+//     loads as exactly the clean prefix;
+//   - a complete final record with a corrupted body is ErrChecksum (it
+//     cannot be a crash artifact);
+//   - 1–3 stray bytes that cannot start a frame are ErrSchema;
+//   - a malformed frame length is ErrTruncated.
 
 // tornFormat adapts one format to the shared table.
 type tornFormat struct {
@@ -37,28 +41,18 @@ type tornFormat struct {
 	// is the reader's explicit torn-tail report (always false for
 	// readers that tolerate silently).
 	read func(t *testing.T, dir string, data []byte) (state any, torn bool, err error)
-	// cuts maps the shared cut names to byte offsets inside the final
-	// record [lastRec, end). The journal has no binary header, so its
-	// cuts degrade to positions inside the final line.
-	cuts func(data []byte, lastRec int64) map[string]int64
 	// reportsTorn: the reader surfaces torn=true on a cut tail.
 	reportsTorn bool
-	// corruptAt returns the offset whose byte the corruption case
-	// flips, leaving the record complete but its body wrong.
-	corruptAt func(data []byte) int64
-	// wantCorruptErr: the corrupted-body case must fail (CRC-framed
-	// formats) rather than be dropped as a torn tail.
-	wantCorruptErr bool
 }
 
-// framedCuts computes the cut table for the binary formats, whose
-// final record is magic | uvarint(len) | crc32 ... | body.
-func framedCuts(data []byte, lastRec int64, magicLen int) map[string]int64 {
-	_, lenN := binary.Uvarint(data[lastRec+int64(magicLen):])
+// framedCuts computes the cut table for a final record laid out as
+// magic 4B | uvarint(len) | crc32 ... | body.
+func framedCuts(data []byte, lastRec int64) map[string]int64 {
+	_, lenN := binary.Uvarint(data[lastRec+4:])
 	return map[string]int64{
-		"mid-magic":  lastRec + int64(magicLen)/2,
-		"mid-length": lastRec + int64(magicLen),
-		"mid-crc":    lastRec + int64(magicLen) + int64(lenN) + 2,
+		"mid-magic":  lastRec + 2,
+		"mid-length": lastRec + 4,
+		"mid-crc":    lastRec + 4 + int64(lenN) + 2,
 		"mid-body":   int64(len(data)) - 1,
 	}
 }
@@ -69,7 +63,7 @@ func tornFormats() []tornFormat {
 			name: "waggle-stream-v1",
 			build: func(t *testing.T, dir string) ([]byte, int64) {
 				path := filepath.Join(dir, "torn.wstream")
-				sw, err := wire.OpenStream(path, 3, 0, 0)
+				sw, err := wire.OpenStream(path, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,12 +92,7 @@ func tornFormats() []tornFormat {
 				recs, torn, err := wire.DecodeStream(data)
 				return recs, torn, err
 			},
-			cuts: func(data []byte, lastRec int64) map[string]int64 {
-				return framedCuts(data, lastRec, 4)
-			},
-			reportsTorn:    true,
-			corruptAt:      func(data []byte) int64 { return int64(len(data)) - 1 },
-			wantCorruptErr: true,
+			reportsTorn: true,
 		},
 		{
 			name: "wcd2-delta-chain",
@@ -147,11 +136,6 @@ func tornFormats() []tornFormat {
 				ck, err := wire.DecodeChain(data)
 				return ck, false, err
 			},
-			cuts: func(data []byte, lastRec int64) map[string]int64 {
-				return framedCuts(data, lastRec, 4)
-			},
-			corruptAt:      func(data []byte) int64 { return int64(len(data)) - 1 },
-			wantCorruptErr: true,
 		},
 		{
 			name: "queen-journal",
@@ -187,32 +171,14 @@ func tornFormats() []tornFormat {
 				rec, err := readJournal(path)
 				return rec, false, err
 			},
-			cuts: func(data []byte, lastRec int64) map[string]int64 {
-				// No binary header: every cut lands inside the final
-				// JSONL line. mid-body must cut real content — end-1
-				// would only shave the newline and leave a complete line.
-				span := int64(len(data)) - lastRec
-				return map[string]int64{
-					"mid-magic":  lastRec + 1,
-					"mid-length": lastRec + span/3,
-					"mid-crc":    lastRec + span/2,
-					"mid-body":   int64(len(data)) - 2,
-				}
-			},
-			// Line framing cannot distinguish a corrupted final line
-			// from a torn append, so corruption in the last line is
-			// dropped like a tear (anywhere else it is an error, pinned
-			// by TestJournalRejectsMidFileCorruption below).
-			corruptAt:      func(data []byte) int64 { return int64(len(data)) - 2 },
-			wantCorruptErr: false,
 		},
 	}
 }
 
 // TestTornTailSuite is the shared crash-contract table: for every
 // format, every cut of the final record loads as exactly the clean
-// prefix, and a complete-but-corrupt final record is refused by the
-// CRC-framed readers.
+// prefix, a complete-but-corrupt final record is ErrChecksum, stray
+// bytes are ErrSchema, and a malformed length is ErrTruncated.
 func TestTornTailSuite(t *testing.T) {
 	for _, f := range tornFormats() {
 		f := f
@@ -235,7 +201,7 @@ func TestTornTailSuite(t *testing.T) {
 				t.Fatalf("final record does not change the loaded state; the cuts below would prove nothing")
 			}
 
-			for name, cut := range f.cuts(data, lastRec) {
+			for name, cut := range framedCuts(data, lastRec) {
 				if cut <= lastRec || cut >= int64(len(data)) {
 					t.Fatalf("%s: cut offset %d outside the final record [%d, %d)", name, cut, lastRec, len(data))
 				}
@@ -253,26 +219,32 @@ func TestTornTailSuite(t *testing.T) {
 			}
 
 			mutated := append([]byte(nil), data...)
-			mutated[f.corruptAt(data)] ^= 0x01
-			got, torn, err := f.read(t, dir, mutated)
-			if f.wantCorruptErr {
-				if !errors.Is(err, ckpt.ErrChecksum) {
-					t.Errorf("corrupt body: err=%v, want ErrChecksum", err)
+			mutated[len(data)-1] ^= 0x01
+			if _, _, err := f.read(t, dir, mutated); !errors.Is(err, ckpt.ErrChecksum) {
+				t.Errorf("corrupt body: err=%v, want ErrChecksum", err)
+			}
+
+			for _, stray := range []string{"Z", "ZZ", "ZZZ", "WZ"} {
+				if _, _, err := f.read(t, dir, append(data[:len(data):len(data)], stray...)); !errors.Is(err, ckpt.ErrSchema) {
+					t.Errorf("stray tail %q: err=%v, want ErrSchema", stray, err)
 				}
-			} else {
-				if err != nil || torn {
-					t.Errorf("corrupt final line: torn=%v err=%v, want tolerated", torn, err)
-				} else if !reflect.DeepEqual(got, want) {
-					t.Errorf("corrupt final line did not load as the clean prefix")
-				}
+			}
+
+			// The final record's magic, then a length varint that
+			// overflows 64 bits.
+			malformed := append(data[:len(data):len(data)], data[lastRec:lastRec+4]...)
+			malformed = append(malformed, bytes.Repeat([]byte{0xff}, 10)...)
+			malformed = append(malformed, 0x01)
+			if _, _, err := f.read(t, dir, malformed); !errors.Is(err, ckpt.ErrTruncated) {
+				t.Errorf("malformed length: err=%v, want ErrTruncated", err)
 			}
 		})
 	}
 }
 
 // TestJournalRejectsMidFileCorruption pins the boundary of the
-// journal's tolerance: a malformed line is forgiven only as the final
-// line. The same corruption one record earlier is an error.
+// journal's tolerance: only the final record may be torn. Corruption
+// one record earlier is an error.
 func TestJournalRejectsMidFileCorruption(t *testing.T) {
 	dir := t.TempDir()
 	f := tornFormats()[2]
@@ -284,5 +256,47 @@ func TestJournalRejectsMidFileCorruption(t *testing.T) {
 	mutated[lastRec-2] ^= 0x01 // inside the second-to-last line
 	if _, _, err := f.read(t, dir, mutated); err == nil {
 		t.Fatal("mid-file corruption was tolerated; only the final line may be torn")
+	}
+}
+
+// TestJournalReopenAfterTornTail: a queen killed mid-append can be
+// restarted more than once. Reopening truncates the torn record, so the
+// next appends start on a frame boundary instead of gluing onto the
+// fragment, and a second restart reads every completion.
+func TestJournalReopenAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "queen.journal")
+	spec := Spec{Kind: "chaos", Seed: 7, Names: []string{"a", "b", "c"}}
+	result := json.RawMessage(`{"ok":true}`)
+	appendDone := func(shards ...string) {
+		t.Helper()
+		jw, err := openJournal(path, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jw.close()
+		for _, shard := range shards {
+			if err := jw.appendDone(shard, result); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendDone("a", "b")
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-3); err != nil { // tear "b"
+		t.Fatal(err)
+	}
+	appendDone("b", "c")
+	appendDone()
+	rec, err := readJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shard := range spec.Names {
+		if _, ok := rec.results[shard]; !ok {
+			t.Errorf("completion of %q lost across the torn-tail restart", shard)
+		}
 	}
 }

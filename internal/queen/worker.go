@@ -128,7 +128,7 @@ func (w *worker) runChaosShard(lr *LeaseResponse) error {
 	if err != nil {
 		return w.fail(lr, err.Error())
 	}
-	chain := filepath.Join(w.opts.Dir, fmt.Sprintf("%s-%s.wck", sanitizeMetric(lr.Name), sanitizeMetric(lr.Token)))
+	chain := filepath.Join(w.opts.Dir, fmt.Sprintf("%s-%s.wck", fileSafe(lr.Name), fileSafe(lr.Token)))
 	defer os.Remove(chain)
 	every := lr.CheckpointEvery
 	if every <= 0 {
@@ -291,4 +291,18 @@ func hintFrom(resp *http.Response, raw []byte) time.Duration {
 		return d
 	}
 	return 0
+}
+
+// fileSafe maps a worker name or lease token into a file-name-safe
+// alphabet, for the worker's chain files.
+func fileSafe(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
+		default:
+			b[i] = '_'
+		}
+	}
+	return string(b)
 }

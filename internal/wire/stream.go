@@ -1,8 +1,7 @@
-// waggle-stream/v1: an append-only movement/event stream sharing the
-// §5g frame discipline of the checkpoint chain — per-record magic +
-// uvarint body length + CRC32 over the body, a torn trailing record
-// tolerated on read, fsyncs batched on write — but tuned for tailing
-// rather than folding:
+// waggle-stream/v1: an append-only movement/event stream of WST1
+// frames (frame.go) — the checkpoint chain's layout and torn-tail rule,
+// with fsyncs batched on write — but tuned for tailing rather than
+// folding:
 //
 //   - every record is self-delimiting and written with a single
 //     write(2), so a concurrent reader (or a reader after kill -9)
@@ -32,12 +31,8 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"io/fs"
 	"math"
 	"os"
 
@@ -46,8 +41,6 @@ import (
 
 // StreamSchema is the version tag written in every stream header.
 const StreamSchema = "waggle-stream/v1"
-
-var magicStream = []byte("WST1")
 
 // Record kinds, on the wire as the first body byte and decoded to the
 // Stream* name constants below.
@@ -66,14 +59,14 @@ const (
 	StreamEvents   = "events"
 )
 
-// Default writer tuning: a keyframe every 256 steps bounds a
-// mid-stream join to replaying at most 256 step records, and one fsync
-// per 64 records keeps the write overhead per step far under the cost
-// of the step itself without risking more than a bounded tail on
-// crash (the torn-tail reader absorbs whatever the page cache lost).
+// Writer tuning: a keyframe every 256 steps bounds a mid-stream join
+// to replaying at most 256 step records, and one fsync per 64 records
+// keeps the write overhead per step far under the cost of the step
+// itself without risking more than a bounded tail on crash (the
+// torn-tail reader absorbs whatever the page cache lost).
 const (
-	DefaultStreamKeyframeEvery = 256
-	DefaultStreamSyncEvery     = 64
+	StreamKeyframeEvery = 256
+	streamSyncEvery     = 64
 )
 
 // StreamMove is one robot's position change within a step, in
@@ -129,8 +122,6 @@ type StreamRecord struct {
 type StreamWriter struct {
 	f            *os.File
 	n            int
-	cadence      int
-	syncEvery    int
 	sinceSync    int
 	offset       int64
 	mirror       []ckpt.XY
@@ -143,43 +134,17 @@ type StreamWriter struct {
 // torn tail left by a crash. In both cases the contract is the same:
 // the caller must append a keyframe before any step record, which
 // seeds the mirror and gives joining readers a clean entry point —
-// AppendStep errors until then. cadence and syncEvery fall back to the
-// package defaults when <= 0.
-func OpenStream(path string, n, cadence, syncEvery int) (*StreamWriter, error) {
+// AppendStep errors until then.
+func OpenStream(path string, n int) (*StreamWriter, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("wire: stream needs n >= 1, got %d", n)
 	}
-	if cadence <= 0 {
-		cadence = DefaultStreamKeyframeEvery
-	}
-	if syncEvery <= 0 {
-		syncEvery = DefaultStreamSyncEvery
-	}
-	sw := &StreamWriter{n: n, cadence: cadence, syncEvery: syncEvery, needKeyframe: true}
-
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("wire: open stream: %w", err)
-	}
-	if len(data) == 0 {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("wire: create stream: %w", err)
-		}
-		sw.f = f
-		if err := sw.writeHeader(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return sw, nil
-	}
-
 	d := &streamDecoder{}
-	end, _, err := scanStream(data, func(off, next int64, kind byte, body []byte) error {
-		if off != 0 {
+	f, end, err := OpenAppend(path, streamFormat, func(fr Frame) error {
+		if fr.Off != 0 {
 			return nil
 		}
-		rec, err := d.decode(kind, body, off, next)
+		rec, err := d.decode(fr)
 		if err != nil {
 			return err
 		}
@@ -194,24 +159,8 @@ func OpenStream(path string, n, cadence, syncEvery int) (*StreamWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: open stream %s: %w", path, err)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wire: open stream: %w", err)
-	}
-	if int64(len(data)) != end {
-		if err := f.Truncate(end); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wire: truncate torn stream tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wire: open stream: %w", err)
-	}
-	sw.f = f
-	sw.offset = end
+	sw := &StreamWriter{f: f, n: n, offset: end, needKeyframe: true}
 	if end == 0 {
-		// The whole file was one torn record: rewrite the header.
 		if err := sw.writeHeader(); err != nil {
 			f.Close()
 			return nil, err
@@ -225,31 +174,24 @@ func (sw *StreamWriter) writeHeader() error {
 	w.byte(streamKindHeader)
 	w.str(StreamSchema)
 	w.uint(sw.n)
-	w.uint(sw.cadence)
+	w.uint(StreamKeyframeEvery)
 	return sw.appendRecord(w.buf)
 }
 
 // Offset reports the byte offset past the last appended record.
 func (sw *StreamWriter) Offset() int64 { return sw.offset }
 
-// Cadence reports the keyframe cadence the header advertises.
-func (sw *StreamWriter) Cadence() int { return sw.cadence }
-
 // appendRecord frames and appends one record body with a single
 // write(2): a tailing reader or a post-crash scan never sees an
 // interleaved record, only a clean prefix plus at most one torn tail.
 func (sw *StreamWriter) appendRecord(body []byte) error {
-	frame := make([]byte, 0, len(magicStream)+binary.MaxVarintLen64+4+len(body))
-	frame = append(frame, magicStream...)
-	frame = binary.AppendUvarint(frame, uint64(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
-	frame = append(frame, body...)
+	frame, _ := EncodeFrame(magicStream, 0, body)
 	if _, err := sw.f.Write(frame); err != nil {
 		return fmt.Errorf("wire: stream append: %w", err)
 	}
 	sw.offset += int64(len(frame))
 	sw.sinceSync++
-	if sw.sinceSync >= sw.syncEvery {
+	if sw.sinceSync >= streamSyncEvery {
 		sw.sinceSync = 0
 		if err := sw.f.Sync(); err != nil {
 			return fmt.Errorf("wire: stream sync: %w", err)
@@ -428,10 +370,10 @@ type streamDecoder struct {
 	pos       []ckpt.XY
 }
 
-func (d *streamDecoder) decode(kind byte, body []byte, off, next int64) (StreamRecord, error) {
-	rec := StreamRecord{Offset: off, Next: next}
-	r := &reader{buf: body}
-	r.byte() // kind, already split out by the frame scan
+func (d *streamDecoder) decode(fr Frame) (StreamRecord, error) {
+	rec := StreamRecord{Offset: fr.Off, Next: fr.Next}
+	r := &reader{buf: fr.Body}
+	kind := r.byte() // the scanner never yields an empty body
 	switch kind {
 	case streamKindHeader:
 		rec.Kind = StreamHeader
@@ -572,68 +514,6 @@ func decodeStreamEvents(r *reader) []StreamEvent {
 	return out
 }
 
-// scanStream walks the frames of data from the start, calling fn (when
-// non-nil) for each complete CRC-valid record. It stops cleanly at a
-// torn trailing record — a magic prefix, a cut length, a cut CRC, or a
-// cut body at end of file — reporting the offset of the clean end and
-// torn=true. Corruption that cannot be a crash artifact (wrong magic
-// bytes, a CRC mismatch on a complete record) is an error: a torn tail
-// from a single-writer append can only ever be a prefix of a valid
-// frame.
-func scanStream(data []byte, fn func(off, next int64, kind byte, body []byte) error) (end int64, torn bool, err error) {
-	off := int64(0)
-	for off < int64(len(data)) {
-		rest := data[off:]
-		if len(rest) < len(magicStream) {
-			if string(rest) == string(magicStream[:len(rest)]) {
-				return off, true, nil
-			}
-			return off, false, fmt.Errorf("%w: bad stream magic at offset %d", ckpt.ErrSchema, off)
-		}
-		if string(rest[:len(magicStream)]) != string(magicStream) {
-			return off, false, fmt.Errorf("%w: bad stream magic at offset %d", ckpt.ErrSchema, off)
-		}
-		hdr := rest[len(magicStream):]
-		bodyLen, un := binary.Uvarint(hdr)
-		if un == 0 {
-			return off, true, nil // torn mid-length
-		}
-		if un < 0 {
-			return off, false, fmt.Errorf("%w: malformed stream record length at offset %d", ckpt.ErrTruncated, off)
-		}
-		hdr = hdr[un:]
-		if len(hdr) < 4 {
-			return off, true, nil // torn mid-CRC
-		}
-		crc := binary.LittleEndian.Uint32(hdr[:4])
-		hdr = hdr[4:]
-		if uint64(len(hdr)) < bodyLen {
-			return off, true, nil // torn mid-body
-		}
-		body := hdr[:bodyLen]
-		if crc32.ChecksumIEEE(body) != crc {
-			return off, false, fmt.Errorf("%w: stream record at offset %d does not match its CRC32", ckpt.ErrChecksum, off)
-		}
-		if len(body) == 0 {
-			return off, false, fmt.Errorf("%w: empty stream record at offset %d", ckpt.ErrTruncated, off)
-		}
-		next := off + int64(len(magicStream)+un+4) + int64(bodyLen)
-		if fn != nil {
-			if err := fn(off, next, body[0], body); err != nil {
-				return off, false, err
-			}
-		}
-		off = next
-	}
-	return off, false, nil
-}
-
-type streamFrame struct {
-	off, next int64
-	kind      byte
-	body      []byte
-}
-
 // TailStream decodes records from data starting at a byte offset,
 // which must be a record boundary (a Next reported by an earlier call,
 // or 0). offset < 0 means "join live": start at the latest keyframe,
@@ -644,9 +524,9 @@ type streamFrame struct {
 // to continue the tail; torn reports a crash-cut trailing record (only
 // meaningful when the returned records reach the end of data).
 func TailStream(data []byte, offset int64, max int) (recs []StreamRecord, next int64, torn bool, err error) {
-	var frames []streamFrame
-	end, torn, err := scanStream(data, func(off, next int64, kind byte, body []byte) error {
-		frames = append(frames, streamFrame{off: off, next: next, kind: kind, body: body})
+	var frames []Frame
+	end, torn, err := ScanFrames(data, streamFormat, func(fr Frame) error {
+		frames = append(frames, fr)
 		return nil
 	})
 	if err != nil {
@@ -656,8 +536,8 @@ func TailStream(data []byte, offset int64, max int) (recs []StreamRecord, next i
 	if start < 0 {
 		start = end
 		for i := len(frames) - 1; i >= 0; i-- {
-			if frames[i].kind == streamKindKeyframe {
-				start = frames[i].off
+			if frames[i].Body[0] == streamKindKeyframe {
+				start = frames[i].Off
 				break
 			}
 		}
@@ -669,7 +549,7 @@ func TailStream(data []byte, offset int64, max int) (recs []StreamRecord, next i
 	}
 	si := -1
 	for i := range frames {
-		if frames[i].off == start {
+		if frames[i].Off == start {
 			si = i
 			break
 		}
@@ -683,18 +563,18 @@ func TailStream(data []byte, offset int64, max int) (recs []StreamRecord, next i
 	// from the latest keyframe strictly before the start.
 	silentFrom := si
 	if si > 0 {
-		if _, err := d.decode(frames[0].kind, frames[0].body, frames[0].off, frames[0].next); err != nil {
+		if _, err := d.decode(frames[0]); err != nil {
 			return nil, 0, false, err
 		}
 		silentFrom = 1
 		for i := si - 1; i >= 1; i-- {
-			if frames[i].kind == streamKindKeyframe {
+			if frames[i].Body[0] == streamKindKeyframe {
 				silentFrom = i
 				break
 			}
 		}
 		for i := silentFrom; i < si; i++ {
-			if _, err := d.decode(frames[i].kind, frames[i].body, frames[i].off, frames[i].next); err != nil {
+			if _, err := d.decode(frames[i]); err != nil {
 				return nil, 0, false, err
 			}
 		}
@@ -705,7 +585,7 @@ func TailStream(data []byte, offset int64, max int) (recs []StreamRecord, next i
 			torn = false // more complete records remain past the cap
 			break
 		}
-		rec, err := d.decode(frames[i].kind, frames[i].body, frames[i].off, frames[i].next)
+		rec, err := d.decode(frames[i])
 		if err != nil {
 			return nil, 0, false, err
 		}

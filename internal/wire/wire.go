@@ -17,9 +17,10 @@
 //     single-byte opcodes.
 //
 // A v2 file is a base frame optionally followed by delta frames (see
-// chain.go); Decode folds the chain back into one Checkpoint. The JSON
-// v1 format remains readable (and is auto-detected by ckpt.Decode)
-// for backward compatibility and debugging.
+// chain.go and the frame layer in frame.go); Decode folds the chain
+// back into one Checkpoint. The JSON v1 format remains readable (the
+// facade picks the decoder with Detect) for backward compatibility and
+// debugging.
 package wire
 
 import (
@@ -34,39 +35,12 @@ import (
 // in errors alongside the v1 tag so a wrong-version file names both.
 const Schema = "waggle-ckpt/v2"
 
-// CodecName is the name the binary codec registers with internal/ckpt
-// (ckpt.SaveFile's codec option).
-const CodecName = "binary"
-
-// Frame magics. A v2 file starts with a base frame; zero or more delta
-// frames follow. The magic doubles as the format version: an
-// incompatible future layout gets a new magic and old readers fail
-// with ErrSchema instead of misparsing.
-var (
-	magicBase  = []byte("WCK2")
-	magicDelta = []byte("WCD2")
-)
-
 // fixedShift is the fixed-point probe resolution: a configuration whose
 // coordinates are all integer multiples of 2^-fixedShift (and small
 // enough to fit the mantissa budget) is coded as integer deltas. The
 // scale is a power of two, so the int64 round trip is exact — the probe
 // only selects the mode, it never quantizes.
 const fixedShift = 20
-
-func init() {
-	ckpt.RegisterCodec(ckpt.Codec{
-		Name:   CodecName,
-		Encode: Encode,
-		Decode: Decode,
-		Detect: Detect,
-	})
-}
-
-// Detect reports whether data starts with a v2 base frame.
-func Detect(data []byte) bool {
-	return len(data) >= len(magicBase) && string(data[:len(magicBase)]) == string(magicBase)
-}
 
 // Encode serializes a checkpoint as a single v2 base frame.
 func Encode(ck *ckpt.Checkpoint) ([]byte, error) {

@@ -30,10 +30,9 @@ import (
 // carrying the live trace digest (when the swarm runs WithTrace), and
 // detaches the taps.
 type StreamWriter struct {
-	s       *Swarm
-	w       *wire.StreamWriter
-	path    string
-	cadence int
+	s    *Swarm
+	w    *wire.StreamWriter
+	path string
 
 	// Stepping-goroutine state: moves staged for the current instant
 	// and the cursor into the network's collected-delivery log.
@@ -61,16 +60,15 @@ func (s *Swarm) NewStreamWriter(path string) (*StreamWriter, error) {
 	if s.stream != nil {
 		return nil, errors.New("waggle: swarm already has an attached stream")
 	}
-	w, err := wire.OpenStream(path, s.n, 0, 0)
+	w, err := wire.OpenStream(path, s.n)
 	if err != nil {
 		return nil, fmt.Errorf("waggle: stream: %w", err)
 	}
 	sw := &StreamWriter{
-		s:       s,
-		w:       w,
-		path:    path,
-		cadence: w.Cadence(),
-		cursor:  s.net.CollectedCount(),
+		s:      s,
+		w:      w,
+		path:   path,
+		cursor: s.net.CollectedCount(),
 	}
 	if err := w.AppendKeyframe(s.Time(), sw.worldXY(), sw.cursor, ""); err != nil {
 		w.Close()
@@ -186,7 +184,7 @@ func (t streamTap) EndStep(tm int, active []int) {
 	}
 	sw.pendMoves = sw.pendMoves[:0]
 	sw.sinceKey++
-	if sw.sinceKey >= sw.cadence {
+	if sw.sinceKey >= wire.StreamKeyframeEvery {
 		sw.sinceKey = 0
 		// The post-step keyframe is stamped t+1: it describes the state
 		// a joining reader starts from, i.e. before the next instant.
