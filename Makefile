@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet fmt-check test race bench bench-json bench-check bench-step bench-ckpt bench-serve bench-queen bench-stream chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
+.PHONY: verify build vet fmt-check test race race-repeat bench bench-json bench-check bench-step bench-ckpt bench-serve bench-queen bench-stream chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
 
-verify: build vet fmt-check race bench-check chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
+verify: build vet fmt-check race race-repeat bench-check chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Race-repeat gate for the step record's concurrent path: the fault
+# injector's per-observer event buffers are written from parallel-engine
+# workers. -cpu 4 matters on a one-CPU host, where GOMAXPROCS=1 would run
+# a single worker and the race detector would never see two interleave.
+race-repeat:
+	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestObserverEngineParity|TestStreamFaultEvents|TestGoldenEngineParity|TestGoldenReplayFrames)$$' .
+	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestEngineParity|TestStepAllocationFree|TestTeleport|TestTraceRecording)$$' ./internal/sim
 
 # The speedup benchmarks for the parallel engine and sweep harness.
 bench:

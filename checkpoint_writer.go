@@ -79,10 +79,11 @@ const endpointSweepMax = 4096
 // and subsequent Saves append a delta frame recording only what changed
 // since the previous Save — at large n with sparse activation that is
 // microseconds and a few hundred bytes instead of an O(n) rewrite —
-// rebasing automatically per the thresholds above. The file is readable
-// by LoadCheckpoint at every moment: after a base, after any delta, and
-// (thanks to the append being a single write and torn trailing frames
-// being dropped on load) even after a crash mid-append.
+// rebasing automatically per the thresholds above and after any failed
+// append. The file is readable by LoadCheckpoint at every moment: after
+// a base, after any delta, and (thanks to the append being a single
+// write and torn trailing frames being dropped on load) even after a
+// crash mid-append.
 type CheckpointWriter struct {
 	s     *Swarm
 	path  string
@@ -176,12 +177,17 @@ func (cw *CheckpointWriter) Save() error {
 		return err
 	}
 	if err := appendDurably(cw.path, frame); err != nil {
+		// A failed append may have left a torn fragment, which a later
+		// delta would strand mid-chain: the next Save writes a base.
+		cw.mirror = nil
 		return err
 	}
 	if err := wire.ApplyDelta(cw.mirror, d); err != nil {
 		// The frame is already on disk but matches the mirror state it
 		// was encoded against; an apply failure here means the delta
-		// itself is malformed, which a load would reject too.
+		// itself is malformed, which a load would reject too, so the
+		// next Save rebases past it.
+		cw.mirror = nil
 		return err
 	}
 	cw.prevCRC = crc

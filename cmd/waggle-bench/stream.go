@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"waggle/internal/ckpt"
-	"waggle/internal/geom"
 	"waggle/internal/sim"
 	"waggle/internal/wire"
 )
@@ -69,9 +68,9 @@ type StreamBench struct {
 // benchTap mirrors the facade's stream tap (waggle.StreamWriter) at the
 // sim.World layer the big sizes require — the chatting protocols cannot
 // step a million-robot swarm, so the overhead is measured on the same
-// engine workload BENCH_step.json uses. It stages every applied move
-// and appends one step record per instant, with the same keyframe
-// cadence the facade uses.
+// engine workload BENCH_step.json uses. It appends each record the
+// world closes as a step record (the workload never teleports, so every
+// record is an instant), with the facade's keyframe cadence.
 type benchTap struct {
 	w        *wire.StreamWriter
 	world    *sim.World
@@ -80,19 +79,17 @@ type benchTap struct {
 	err      error
 }
 
-func (t *benchTap) RecordMove(tm, robot int, to geom.Point) {
-	t.moves = append(t.moves, wire.StreamMove{Robot: robot, To: ckpt.XY{X: to.X, Y: to.Y}})
-}
-
 func (t *benchTap) EndStep(tm int, active []int) {
 	if t.err != nil {
-		t.moves = t.moves[:0]
 		return
+	}
+	t.moves = t.moves[:0]
+	for _, m := range t.world.Record().Moves {
+		t.moves = append(t.moves, wire.StreamMove{Robot: m.Robot, To: ckpt.XY{X: m.To.X, Y: m.To.Y}})
 	}
 	if err := t.w.AppendStep(tm, t.moves, active, nil, nil); err != nil {
 		t.err = err
 	}
-	t.moves = t.moves[:0]
 	if t.sinceKey++; t.sinceKey >= wire.StreamKeyframeEvery && t.err == nil {
 		t.sinceKey = 0
 		t.err = t.w.AppendKeyframe(tm+1, worldXY(t.world), 0, "")

@@ -44,9 +44,13 @@ type Injector struct {
 	// never share one.
 	dropMask [][]bool
 
-	// obs is the optional observability hook. PerturbView runs
-	// concurrently under the parallel engine, so its sites touch only
-	// atomic counters and the mutex-guarded trace ring.
+	// events buffers the fault events raised since BeginStep for the
+	// world's record: slot i holds observer i's PerturbView events (the
+	// parallel engine runs observers concurrently), slot n the rest.
+	events [][]obs.Event
+
+	// obs is the optional observability hook for the per-family
+	// counters: atomic adds, safe from concurrent PerturbView calls.
 	obs *obs.Observer
 }
 
@@ -69,6 +73,7 @@ func NewInjector(plan Plan, n int, seed int64) (*Injector, error) {
 		crashed:    make([]bool, n),
 		prevOutage: make([]bool, n),
 		dropMask:   make([][]bool, n),
+		events:     make([][]obs.Event, n+1),
 	}
 	for i := range inj.dropMask {
 		inj.dropMask[i] = make([]bool, n)
@@ -135,6 +140,9 @@ func (inj *Injector) BeginStep(t int, w *sim.World) {
 	for i := range inj.crashed {
 		inj.crashed[i] = false
 	}
+	for i := range inj.events {
+		inj.events[i] = inj.events[i][:0]
+	}
 	jam, jamActive := 0.0, false
 	for _, e := range inj.plan.Events {
 		switch e.Kind {
@@ -144,9 +152,9 @@ func (inj *Injector) BeginStep(t int, w *sim.World) {
 					// Teleport validates the index; plan validation
 					// already guaranteed it.
 					_ = w.Teleport(i, w.Position(i).Add(e.Delta))
+					inj.emit(inj.n, obs.Event{T: t, Kind: obs.EvDisplace, Robot: i, Peer: -1, Val: e.Delta.Len()})
 					if o := inj.obs; o != nil {
 						o.Fault.Displacements.Inc()
-						o.Record(obs.Event{T: t, Kind: obs.EvDisplace, Robot: i, Peer: -1, Val: e.Delta.Len()})
 					}
 				}, e)
 			}
@@ -181,16 +189,14 @@ func (inj *Injector) BeginStep(t int, w *sim.World) {
 		}
 		if want && !inj.prevOutage[i] {
 			_ = inj.radio.Break(i)
+			inj.emit(inj.n, obs.Event{T: t, Kind: obs.EvOutageStart, Robot: i, Peer: -1})
 			if o := inj.obs; o != nil {
 				o.Fault.Outages.Inc()
-				o.Record(obs.Event{T: t, Kind: obs.EvOutageStart, Robot: i, Peer: -1})
 			}
 		}
 		if !want && inj.prevOutage[i] {
 			_ = inj.radio.Repair(i)
-			if o := inj.obs; o != nil {
-				o.Record(obs.Event{T: t, Kind: obs.EvOutageEnd, Robot: i, Peer: -1})
-			}
+			inj.emit(inj.n, obs.Event{T: t, Kind: obs.EvOutageEnd, Robot: i, Peer: -1})
 		}
 		inj.prevOutage[i] = want
 	}
@@ -198,16 +204,16 @@ func (inj *Injector) BeginStep(t int, w *sim.World) {
 		p := clamp01(jam)
 		_ = inj.radio.SetJamming(p)
 		inj.prevJam = true
+		inj.emit(inj.n, obs.Event{T: t, Kind: obs.EvJam, Robot: -1, Peer: -1, Val: p})
 		if o := inj.obs; o != nil {
 			o.Fault.JamSets.Inc()
-			o.Record(obs.Event{T: t, Kind: obs.EvJam, Robot: -1, Peer: -1, Val: p})
 		}
 	} else if inj.prevJam {
 		_ = inj.radio.SetJamming(0)
 		inj.prevJam = false
+		inj.emit(inj.n, obs.Event{T: t, Kind: obs.EvJam, Robot: -1, Peer: -1, Val: 0})
 		if o := inj.obs; o != nil {
 			o.Fault.JamSets.Inc()
-			o.Record(obs.Event{T: t, Kind: obs.EvJam, Robot: -1, Peer: -1, Val: 0})
 		}
 	}
 }
@@ -223,9 +229,9 @@ func (inj *Injector) FilterActive(t int, active []int) []int {
 			out = append(out, i)
 			continue
 		}
+		inj.emit(inj.n, obs.Event{T: t, Kind: obs.EvCrash, Robot: i, Peer: -1})
 		if o := inj.obs; o != nil {
 			o.Fault.Crashes.Inc()
-			o.Record(obs.Event{T: t, Kind: obs.EvCrash, Robot: i, Peer: -1})
 		}
 	}
 	return out
@@ -256,12 +262,14 @@ func (inj *Injector) PerturbView(t, observer int, frame geom.Frame, view sim.Vie
 				view.Points[j] = view.Points[j].Add(noise)
 				noised++
 			}
-			if o := inj.obs; o != nil && noised > 0 {
+			if noised > 0 {
 				// One event per noised view, not per point — per-point
-				// events would flood the ring at n² per instant. The
+				// events would flood the record at n² per instant. The
 				// counter still counts points.
-				o.Fault.Noise.Add(int64(noised))
-				o.Record(obs.Event{T: t, Kind: obs.EvNoise, Robot: observer, Peer: -1, Val: e.Mag})
+				inj.emit(observer, obs.Event{T: t, Kind: obs.EvNoise, Robot: observer, Peer: -1, Val: e.Mag})
+				if o := inj.obs; o != nil {
+					o.Fault.Noise.Add(int64(noised))
+				}
 			}
 		case DropSight:
 			if e.Mag == 0 {
@@ -284,9 +292,9 @@ func (inj *Injector) PerturbView(t, observer int, frame geom.Frame, view sim.Vie
 					// observer's own position.
 					view.Visible[j] = false
 					view.Points[j] = view.Points[view.Self]
+					inj.emit(observer, obs.Event{T: t, Kind: obs.EvDropSight, Robot: observer, Peer: j})
 					if o := inj.obs; o != nil {
 						o.Fault.DropSights.Inc()
-						o.Record(obs.Event{T: t, Kind: obs.EvDropSight, Robot: observer, Peer: j})
 					}
 				}
 			}
@@ -303,12 +311,26 @@ func (inj *Injector) PerturbMove(t, robot int, from, dest geom.Point) geom.Point
 		}
 		f := e.Min + unit(key(inj.seed, t, robot, robot, idx))*(e.Max-e.Min)
 		dest = from.Add(dest.Sub(from).Scale(f))
+		inj.emit(inj.n, obs.Event{T: t, Kind: obs.EvMoveError, Robot: robot, Peer: -1, Val: f})
 		if o := inj.obs; o != nil {
 			o.Fault.MoveErrors.Inc()
-			o.Record(obs.Event{T: t, Kind: obs.EvMoveError, Robot: robot, Peer: -1, Val: f})
 		}
 	}
 	return dest
+}
+
+// AppendEvents implements sim.Injector: every fault event raised since
+// BeginStep, for the world's record to sort.
+func (inj *Injector) AppendEvents(dst []obs.Event) []obs.Event {
+	for _, evs := range inj.events {
+		dst = append(dst, evs...)
+	}
+	return dst
+}
+
+// emit raises a fault event into slot (see Injector.events).
+func (inj *Injector) emit(slot int, e obs.Event) {
+	inj.events[slot] = append(inj.events[slot], e)
 }
 
 func (inj *Injector) forEachTarget(fn func(i int), e Event) {

@@ -17,7 +17,9 @@ func TestRegistryExposition(t *testing.T) {
 	o.Sim.Steps.Add(3)
 	o.Sim.Robots.Set(6)
 	o.Sim.StepSeconds.Observe(0.0003)
-	o.Sim.StepSeconds.Observe(2) // above the last bound: +Inf bucket
+	o.Sim.StepSeconds.Observe(5.56) // a 1M-robot synchronous step
+	o.Sim.StepSeconds.Observe(40)   // a serve long-poll: MaxObserveWait + RequestTimeout
+	o.Sim.StepSeconds.Observe(200)  // above the last bound: +Inf bucket
 	o.Sim.ActivationsPerStep.Observe(6)
 	o.Msgr.Retries.Inc()
 
@@ -29,8 +31,12 @@ func TestRegistryExposition(t *testing.T) {
 	for _, want := range []string{
 		"waggle_sim_steps_total 3",
 		"# TYPE waggle_sim_step_seconds histogram",
-		`waggle_sim_step_seconds_bucket{le="+Inf"} 2`,
-		"waggle_sim_step_seconds_count 2",
+		`waggle_sim_step_seconds_bucket{le="5"} 1`,
+		`waggle_sim_step_seconds_bucket{le="10"} 2`,
+		`waggle_sim_step_seconds_bucket{le="50"} 3`,
+		`waggle_sim_step_seconds_bucket{le="100"} 3`,
+		`waggle_sim_step_seconds_bucket{le="+Inf"} 4`,
+		"waggle_sim_step_seconds_count 4",
 		"waggle_msgr_retries_total 1",
 		"waggle_sim_robots 6",
 	} {

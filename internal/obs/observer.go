@@ -13,12 +13,6 @@ type Observer struct {
 	reg  *Registry
 	ring *Ring
 
-	// sink, when set, sees every recorded event in addition to the
-	// ring. Record may be called from engine worker goroutines, so the
-	// sink must be safe for concurrent calls; the field itself may
-	// only be set between steps (same discipline as World.SetObserver).
-	sink EventSink
-
 	// Sim is the step-engine instrumentation.
 	Sim struct {
 		// Steps counts completed instants; Activations counts robot
@@ -57,11 +51,15 @@ type Observer struct {
 	}
 }
 
-// stepSecondsBounds spans 1µs–1s: a two-robot step sits near the
-// bottom, a 512-robot limited-visibility step near the middle.
-var stepSecondsBounds = []float64{
+// LatencyBounds are the buckets of the wall-clock latency histograms
+// (sim step, serve request), 1µs–100s: a two-robot step sits near the
+// bottom, a 1M-robot synchronous step (5.6 s on one core) and a
+// long-poll observe or spectate held for MaxObserveWait plus
+// RequestTimeout (40 s by default) near the top.
+var LatencyBounds = []float64{
 	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1,
+	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5,
+	1, 2.5, 5, 10, 25, 50, 100,
 }
 
 // activationsBounds covers the benchmark swarm sizes.
@@ -78,7 +76,7 @@ func New(traceCapacity int) *Observer {
 	o.Sim.ViewIndexViews = r.Counter("waggle_sim_viewindex_views_total", "Local views built through the per-step spatial grid.")
 	o.Sim.Robots = r.Gauge("waggle_sim_robots", "Number of robots in the observed world.")
 	o.Sim.Time = r.Gauge("waggle_sim_time", "Current simulated instant.")
-	o.Sim.StepSeconds = r.Histogram("waggle_sim_step_seconds", "Wall-clock latency of one World.Step.", stepSecondsBounds, true)
+	o.Sim.StepSeconds = r.Histogram("waggle_sim_step_seconds", "Wall-clock latency of one World.Step.", LatencyBounds, true)
 	o.Sim.ActivationsPerStep = r.Histogram("waggle_sim_activations_per_step", "Activation-set size per instant.", activationsBounds, false)
 
 	o.Net.Sends = r.Counter("waggle_net_sends_total", "Messages queued on the movement channel.")
@@ -118,31 +116,12 @@ func (o *Observer) Registry() *Registry {
 	return o.reg
 }
 
-// EventSink taps the event flow ahead of the ring's retention limit —
-// the movement-stream writer uses it to persist fault events the ring
-// may have already evicted by snapshot time. Implementations must be
-// concurrency-safe: the parallel engine records perturbation events
-// from worker goroutines.
-type EventSink func(Event)
-
-// SetEventSink attaches (or, with nil, detaches) the event tap. Safe
-// between steps only; nil-observer safe.
-func (o *Observer) SetEventSink(sink EventSink) {
-	if o == nil {
-		return
-	}
-	o.sink = sink
-}
-
 // Record appends a trace event; a nil observer drops it.
 func (o *Observer) Record(e Event) {
 	if o == nil {
 		return
 	}
 	o.ring.Append(e)
-	if o.sink != nil {
-		o.sink(e)
-	}
 }
 
 // TraceEvents returns the normalized retained trace (nil observer:

@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -113,34 +114,23 @@ type Event struct {
 	Val float64 `json:"val"`
 }
 
-// less is the canonical (T, Robot, Kind, Peer, Val) order trace
+// compare is the canonical (T, Robot, Kind, Peer, Val) order trace
 // snapshots are normalized to. Within one instant a robot's events are
 // emitted concurrently under the parallel engine; sorting by this total
 // order makes the snapshot engine-independent, because the *set* of
 // events per instant is deterministic even when the emission order is
 // not.
-func (e Event) less(o Event) bool {
-	if e.T != o.T {
-		return e.T < o.T
-	}
-	if e.Robot != o.Robot {
-		return e.Robot < o.Robot
-	}
-	if e.Kind != o.Kind {
-		return e.Kind < o.Kind
-	}
-	if e.Peer != o.Peer {
-		return e.Peer < o.Peer
-	}
-	return e.Val < o.Val
+func (e Event) compare(o Event) int {
+	return cmp.Or(cmp.Compare(e.T, o.T), cmp.Compare(e.Robot, o.Robot),
+		cmp.Compare(e.Kind, o.Kind), cmp.Compare(e.Peer, o.Peer), cmp.Compare(e.Val, o.Val))
 }
 
 // SortEvents sorts events into the canonical (T, Robot, Kind, Peer,
-// Val) trace order — the same normalization Ring.Events applies — so
-// external consumers (the movement-stream writer batching one step's
-// events) produce engine-independent output.
+// Val) trace order — the same normalization Ring.Events applies — so a
+// step record's fault events are engine-independent. It does not
+// allocate.
 func SortEvents(evs []Event) {
-	sort.Slice(evs, func(i, j int) bool { return evs[i].less(evs[j]) })
+	slices.SortFunc(evs, Event.compare)
 }
 
 // Ring is a bounded ring buffer of trace events: the newest capacity
@@ -228,6 +218,6 @@ func (r *Ring) Events() []Event {
 		}
 		out = kept
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	SortEvents(out)
 	return out
 }

@@ -515,7 +515,7 @@ func spectateRecordOf(rec wire.StreamRecord) SpectateRecord {
 		out.Events = make([]SpectateEvent, len(rec.Events))
 		for i, e := range rec.Events {
 			out.Events[i] = SpectateEvent{
-				Kind: obs.EventKind(e.Kind).String(), T: e.T, Robot: e.Robot, Peer: e.Peer, Val: e.Val,
+				Kind: e.Kind.String(), T: e.T, Robot: e.Robot, Peer: e.Peer, Val: e.Val,
 			}
 		}
 	}

@@ -28,13 +28,6 @@ type metrics struct {
 	RequestSeconds *obs.Histogram
 }
 
-// requestSecondsBounds spans 50µs–10s: a cached observe sits at the
-// bottom, a budget-capped step batch or a chain resume near the top.
-var requestSecondsBounds = []float64{
-	5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2,
-	5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
 func newMetrics(r *obs.Registry) metrics {
 	return metrics{
 		SessionsActive:  r.Gauge("waggle_serve_sessions_active", "Live (in-memory) sessions."),
@@ -52,6 +45,6 @@ func newMetrics(r *obs.Registry) metrics {
 		Sends:           r.Counter("waggle_serve_sends_total", "Send/broadcast operations accepted."),
 		CheckpointBytes: r.Counter("waggle_serve_checkpoint_bytes_total", "Bytes appended to session checkpoint chains."),
 		Spectates:       r.Counter("waggle_serve_spectates_total", "Stream spectate polls served (long-poll and SSE)."),
-		RequestSeconds:  r.Histogram("waggle_serve_request_seconds", "Wall-clock /v1 request latency.", requestSecondsBounds, true),
+		RequestSeconds:  r.Histogram("waggle_serve_request_seconds", "Wall-clock /v1 request latency.", obs.LatencyBounds, true),
 	}
 }

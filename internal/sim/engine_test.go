@@ -484,36 +484,61 @@ func TestCoincidentCheckGridParity(t *testing.T) {
 	}
 }
 
+// recordSink reads every closed record the way a stream writer does,
+// into a buffer it reuses.
+type recordSink struct {
+	w     *World
+	moves []Move
+}
+
+func (s *recordSink) EndStep(t int, active []int) {
+	s.moves = append(s.moves[:0], s.w.Record().Moves...)
+}
+
 // TestStepAllocationFree pins the buffer-reuse goal: after warm-up, a
 // sequential step of a plain (untraced, anonymous, unlimited-vision)
-// world performs zero heap allocations in the engine itself.
+// world performs zero heap allocations in the engine itself, and so
+// does one whose record feeds a stream sink and the delta-checkpoint
+// touch set — the record's buffers are reused too.
 func TestStepAllocationFree(t *testing.T) {
-	n := 32
-	positions := make([]geom.Point, n)
-	robots := make([]*Robot, n)
-	for i := range positions {
-		positions[i] = geom.Pt(float64(i)*10, 0)
-		robots[i] = &Robot{Frame: geom.WorldFrame(), Sigma: 1, Behavior: BehaviorFunc(func(v View) geom.Point {
-			return v.Points[v.Self]
-		})}
-	}
-	w, err := NewWorld(Config{Positions: positions, Robots: robots, Engine: EngineSequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := Synchronous{}
-	if _, err := w.Step(sched); err != nil { // warm up scratch buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := w.Step(sched); err != nil {
+	for _, tc := range []struct {
+		name   string
+		attach func(w *World)
+	}{
+		{"bare", func(*World) {}},
+		{"sink+touch", func(w *World) {
+			w.SetStreamSink(&recordSink{w: w})
+			w.EnableTouchTracking()
+		}},
+	} {
+		n := 32
+		positions := make([]geom.Point, n)
+		robots := make([]*Robot, n)
+		for i := range positions {
+			positions[i] = geom.Pt(float64(i)*10, 0)
+			robots[i] = &Robot{Frame: geom.WorldFrame(), Sigma: 1, Behavior: BehaviorFunc(func(v View) geom.Point {
+				return v.Points[v.Self]
+			})}
+		}
+		w, err := NewWorld(Config{Positions: positions, Robots: robots, Engine: EngineSequential})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	// The scheduler allocates its activation slice; the engine itself
-	// must add nothing beyond it.
-	if allocs > 1 {
-		t.Errorf("Step allocates %.1f objects/op after warm-up, want <= 1", allocs)
+		tc.attach(w)
+		sched := Synchronous{}
+		if _, err := w.Step(sched); err != nil { // warm up scratch buffers
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := w.Step(sched); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The scheduler allocates its activation slice; the engine itself
+		// must add nothing beyond it.
+		if allocs > 1 {
+			t.Errorf("%s: Step allocates %.1f objects/op after warm-up, want <= 1", tc.name, allocs)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "waggle/internal/geom"
+import (
+	"waggle/internal/geom"
+	"waggle/internal/obs"
+)
 
 // Injector is the fault-injection hook surface of World.Step. A world
 // with an injector attached runs every instant through four hooks, in
@@ -46,6 +49,11 @@ type Injector interface {
 	// for the robot, given the faithful one. Returning from means the
 	// move is suppressed entirely.
 	PerturbMove(t, robot int, from, dest geom.Point) geom.Point
+	// AppendEvents appends the fault events the hooks raised since
+	// BeginStep, in any order, to dst for the instant's Record, which
+	// sorts them. It runs on the stepping goroutine, and only when a
+	// record consumer is attached.
+	AppendEvents(dst []obs.Event) []obs.Event
 }
 
 // SetInjector attaches (or, with nil, detaches) a fault injector. Safe

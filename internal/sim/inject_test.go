@@ -2,10 +2,12 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"waggle/internal/geom"
+	"waggle/internal/obs"
 )
 
 // marcher moves one unit along +x every activation.
@@ -70,6 +72,8 @@ func (s *scriptInjector) PerturbMove(t, robot int, from, dest geom.Point) geom.P
 	}
 	return dest
 }
+
+func (s *scriptInjector) AppendEvents(dst []obs.Event) []obs.Event { return dst }
 
 func TestInjectorHookOrder(t *testing.T) {
 	w := injectWorld(t, 2)
@@ -210,3 +214,64 @@ func TestInjectorViewPerturbationReachesBehavior(t *testing.T) {
 type behaviorFunc func(View) geom.Point
 
 func (f behaviorFunc) Step(v View) geom.Point { return f(v) }
+
+// displacer teleports robot 1 from BeginStep, as fault displacements do.
+type displacer struct{ scriptInjector }
+
+func (d *displacer) BeginStep(t int, w *World) { _ = w.Teleport(1, geom.Pt(50, 0)) }
+
+// recordLog keeps a copy of every record the world closes.
+type recordLog struct {
+	w    *World
+	recs []Record
+}
+
+func (l *recordLog) EndStep(t int, active []int) {
+	r := *l.w.Record()
+	r.Active = append([]int(nil), r.Active...)
+	r.Moves = append([]Move(nil), r.Moves...)
+	l.recs = append(l.recs, r)
+}
+
+// TestRecordOutOfStep pins the record's two shapes: a Teleport between
+// instants closes a one-move out-of-step record at once, while an
+// injector displacement joins its instant's record ahead of the apply
+// loop's moves. Every consumer — sink, trace, touch set — sees both.
+func TestRecordOutOfStep(t *testing.T) {
+	w := newTestWorld(t, []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0)}, []Behavior{walker(1, 0), walker(1, 0)})
+	log := &recordLog{w: w}
+	w.SetStreamSink(log)
+	w.EnableTouchTracking()
+	if err := w.Teleport(0, geom.Pt(5, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.recs) != 1 {
+		t.Fatalf("teleport closed %d records, want 1", len(log.recs))
+	}
+	if r := log.recs[0]; r.InStep || r.Time != 0 || r.Active != nil || len(r.Moves) != 1 ||
+		r.Moves[0] != (Move{Time: 0, Robot: 0, From: geom.Pt(0, 0), To: geom.Pt(5, 5)}) {
+		t.Errorf("out-of-step record = %+v", r)
+	}
+	if got := w.AppendTouchedSince(0, nil); len(got) != 1 || got[0] != 0 {
+		t.Errorf("touched after teleport = %v, want [0]", got)
+	}
+	w.SetInjector(&displacer{})
+	if _, err := w.Step(Synchronous{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.recs) != 2 {
+		t.Fatalf("step closed %d records, want 1", len(log.recs)-1)
+	}
+	r := log.recs[1]
+	want := []Move{
+		{Time: 0, Robot: 1, From: geom.Pt(10, 0), To: geom.Pt(50, 0)},
+		{Time: 0, Robot: 0, From: geom.Pt(5, 5), To: geom.Pt(6, 5)},
+		{Time: 0, Robot: 1, From: geom.Pt(50, 0), To: geom.Pt(51, 0)},
+	}
+	if !r.InStep || r.Time != 0 || len(r.Active) != 2 || !reflect.DeepEqual(r.Moves, want) {
+		t.Errorf("instant record = %+v, want moves %v", r, want)
+	}
+	if got := len(w.Trace().Moves()); got != 4 {
+		t.Errorf("trace holds %d moves, want 4", got)
+	}
+}

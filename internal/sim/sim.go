@@ -166,36 +166,54 @@ type World struct {
 
 	// touchedAt, when non-nil (EnableTouchTracking), records per robot
 	// the instant-plus-one of its last position write (0 = never moved
-	// since tracking began). Both write sites — the simultaneous-move
-	// apply loop in Step and Teleport — stamp it, so a delta
-	// checkpointer can ask for exactly the robots that moved since its
-	// previous capture instead of scanning a million positions.
+	// since tracking began), so a delta checkpointer can ask for exactly
+	// the robots that moved since its previous capture.
 	touchedAt []int
 
 	// inject is the optional fault-injection hook surface (see
 	// inject.go); nil means a fault-free world.
 	inject Injector
 
-	// obs is the optional observability hook (internal/obs): step
-	// metrics and activation/move trace events. Nil means disabled;
-	// every instrumentation site guards with a single nil check, so a
-	// world without an observer pays one predictable branch per site.
+	// obs is the optional observability hook (internal/obs). Nil means
+	// disabled; every site guards with a single nil check.
 	obs *obs.Observer
 
-	// stream is the optional movement-stream tap (waggle-stream/v1 via
-	// the facade). Like the trace and observer hooks it is driven only
-	// from the stepping goroutine, in application order, so the stream
-	// content is engine-independent.
+	// stream is the optional external record consumer.
 	stream StreamSink
+
+	// rec is the reusable record of the instant in progress; recording
+	// caches whether any consumer is attached, and stepping marks an
+	// open instant, which a Teleport from BeginStep joins.
+	rec       Record
+	recording bool
+	stepping  bool
 }
 
-// StreamSink receives the world's movement stream: every applied
-// position write (scheduler moves and teleports alike, in application
-// order) and an end-of-step mark with the activation set. Both calls
-// arrive on the stepping goroutine; the sink must copy active if it
-// retains it.
+// Record reports one unit of execution to every consumer from one
+// dispatch site. Step closes an instant's record (InStep) after its
+// apply loop; a Teleport between instants, and an instant that fails
+// after its injector moved robots, close their writes out of step. The
+// buffers are reused: consumers copy what they keep.
+type Record struct {
+	Time   int
+	InStep bool
+	// Active is the activation set after crash filtering (nil out of
+	// step).
+	Active []int
+	// Moves are the position writes in application order: injector
+	// displacements first, then one per active robot.
+	Moves []Move
+	// Events are the fault events in canonical (T, Robot, Kind, Peer,
+	// Val) order.
+	Events []obs.Event
+}
+
+// StreamSink is the world's external record consumer (the facade's
+// movement stream, benchmark taps). EndStep runs on the stepping
+// goroutine whenever a record closes — once per instant after its moves
+// are applied, and once per out-of-step record — and reads the record
+// through World.Record; t and active repeat its Time and Active.
 type StreamSink interface {
-	RecordMove(t, robot int, to geom.Point)
 	EndStep(t int, active []int)
 }
 
@@ -370,8 +388,8 @@ func (w *World) SetObserver(o *obs.Observer) {
 // Observer returns the attached observer, or nil.
 func (w *World) Observer() *obs.Observer { return w.obs }
 
-// SetStreamSink attaches (or, with nil, detaches) the movement-stream
-// tap. Safe between steps only.
+// SetStreamSink attaches (or, with nil, detaches) the external record
+// consumer. Safe between steps only.
 func (w *World) SetStreamSink(s StreamSink) { w.stream = s }
 
 // Step advances the world by one instant using the scheduler's
@@ -406,6 +424,30 @@ func (w *World) Step(s Scheduler) ([]int, error) {
 		w.seen[i] = true
 	}
 	w.resetSeen(active)
+	w.openRecord(true)
+	active, err := w.runInstant(active)
+	// A failed instant's writes (its injector's displacements) and fault
+	// events close out of step, so no consumer misses a position write.
+	w.rec.InStep = err == nil
+	if w.recording {
+		w.rec.Active = active
+		if w.inject != nil {
+			w.rec.Events = w.inject.AppendEvents(w.rec.Events)
+			obs.SortEvents(w.rec.Events)
+		}
+	}
+	w.dispatch(stepStart)
+	if err != nil {
+		return nil, err
+	}
+	w.time++
+	return active, nil
+}
+
+// runInstant runs one instant for a validated activation set — the
+// injector's hooks, the compute phase and the apply loop — and returns
+// the activation set after crash filtering.
+func (w *World) runInstant(active []int) ([]int, error) {
 	if w.inject != nil {
 		// Faults first mutate the world (displacements, coupled radio
 		// state), then may crash-stop robots out of the activation set.
@@ -414,14 +456,6 @@ func (w *World) Step(s Scheduler) ([]int, error) {
 		if len(active) == 0 {
 			// Every activated robot is crash-stopped: the instant
 			// passes with no observations and no moves.
-			if w.trace != nil {
-				w.trace.endStep(w.time, active, w.pos)
-			}
-			if w.stream != nil {
-				w.stream.EndStep(w.time, active)
-			}
-			w.observeStep(stepStart, 0)
-			w.time++
 			return active, nil
 		}
 	}
@@ -447,52 +481,9 @@ func (w *World) Step(s Scheduler) ([]int, error) {
 	}
 	// Apply simultaneously.
 	for k, i := range active {
-		from := w.pos[i]
-		dest := w.dests[k]
-		w.pos[i] = dest
-		if w.touchedAt != nil {
-			w.touchedAt[i] = w.time + 1
-		}
-		w.robots[i].Frame = w.robots[i].Frame.WithOrigin(dest)
-		if w.trace != nil {
-			w.trace.record(w.time, i, from, dest)
-		}
-		if w.stream != nil {
-			w.stream.RecordMove(w.time, i, dest)
-		}
-		if o := w.obs; o != nil {
-			// Recorded here, on the stepping goroutine in activation
-			// order, so the trace content is engine-independent.
-			o.Record(obs.Event{T: w.time, Kind: obs.EvActivate, Robot: i, Peer: -1})
-			if d := from.Dist(dest); d > 0 {
-				o.Record(obs.Event{T: w.time, Kind: obs.EvMove, Robot: i, Peer: -1, Val: d})
-			}
-		}
+		w.move(i, w.dests[k])
 	}
-	if w.trace != nil {
-		w.trace.endStep(w.time, active, w.pos)
-	}
-	if w.stream != nil {
-		w.stream.EndStep(w.time, active)
-	}
-	w.observeStep(stepStart, len(active))
-	w.time++
 	return active, nil
-}
-
-// observeStep records the per-instant metrics of a completed step.
-// stepStart is only valid when the observer is attached (Step skips the
-// clock read otherwise).
-func (w *World) observeStep(stepStart time.Time, activeLen int) {
-	o := w.obs
-	if o == nil {
-		return
-	}
-	o.Sim.Steps.Inc()
-	o.Sim.Activations.Add(int64(activeLen))
-	o.Sim.ActivationsPerStep.Observe(float64(activeLen))
-	o.Sim.Time.Set(float64(w.time + 1))
-	o.Sim.StepSeconds.Observe(time.Since(stepStart).Seconds())
 }
 
 // resetSeen clears the duplicate-activation marks set for this instant;
@@ -505,6 +496,74 @@ func (w *World) resetSeen(active []int) {
 	}
 }
 
+// Record returns the record the world closed last, filled only while a
+// consumer is attached; the next Step or Teleport reuses its buffers.
+func (w *World) Record() *Record { return &w.rec }
+
+// openRecord starts a record at the current instant and decides, once
+// per record, whether any consumer is attached: a world without one
+// pays a single predictable branch per position write.
+func (w *World) openRecord(inStep bool) {
+	w.recording = w.trace != nil || w.obs != nil || w.touchedAt != nil || w.stream != nil
+	w.stepping = inStep
+	w.rec.Time, w.rec.InStep, w.rec.Active = w.time, inStep, nil
+	w.rec.Moves = w.rec.Moves[:0]
+	w.rec.Events = w.rec.Events[:0]
+}
+
+// move writes robot i's position, moves its frame along, and logs the
+// write in the open record.
+func (w *World) move(i int, to geom.Point) {
+	if w.recording {
+		w.rec.Moves = append(w.rec.Moves, Move{Time: w.time, Robot: i, From: w.pos[i], To: to})
+	}
+	w.pos[i] = to
+	w.robots[i].Frame = w.robots[i].Frame.WithOrigin(to)
+}
+
+// dispatch closes the open record and hands it to every consumer in a
+// fixed order on the stepping goroutine, so what each sees is
+// engine-independent: the touch set, the trace, the stream sink, and
+// last the observer (fault, activation and move events, then the step
+// metrics, whose latency thus covers the other consumers; stepStart is
+// valid only with an observer).
+func (w *World) dispatch(stepStart time.Time) {
+	w.stepping = false
+	rec := &w.rec
+	if !w.recording || !rec.InStep && len(rec.Moves) == 0 && len(rec.Events) == 0 {
+		return
+	}
+	if w.touchedAt != nil {
+		for _, m := range rec.Moves {
+			w.touchedAt[m.Robot] = rec.Time + 1
+		}
+	}
+	if w.trace != nil {
+		w.trace.add(rec, w.pos)
+	}
+	if w.stream != nil {
+		w.stream.EndStep(rec.Time, rec.Active)
+	}
+	if o := w.obs; o != nil {
+		for _, e := range rec.Events {
+			o.Record(e)
+		}
+		if rec.InStep {
+			for _, m := range rec.Moves[len(rec.Moves)-len(rec.Active):] {
+				o.Record(obs.Event{T: rec.Time, Kind: obs.EvActivate, Robot: m.Robot, Peer: -1})
+				if d := m.Dist(); d > 0 {
+					o.Record(obs.Event{T: rec.Time, Kind: obs.EvMove, Robot: m.Robot, Peer: -1, Val: d})
+				}
+			}
+			o.Sim.Steps.Inc()
+			o.Sim.Activations.Add(int64(len(rec.Active)))
+			o.Sim.ActivationsPerStep.Observe(float64(len(rec.Active)))
+			o.Sim.Time.Set(float64(rec.Time + 1))
+			o.Sim.StepSeconds.Observe(time.Since(stepStart).Seconds())
+		}
+	}
+}
+
 // Teleport forcibly relocates robot i — a transient fault injected by
 // the experiment harness (a gust of wind, a sensor glitch, an operator
 // picking the robot up). Protocols do not expect it; the §5
@@ -513,25 +572,23 @@ func (w *World) Teleport(i int, to geom.Point) error {
 	if i < 0 || i >= len(w.robots) {
 		return fmt.Errorf("sim: teleport of robot %d of %d", i, len(w.robots))
 	}
-	from := w.pos[i]
-	w.pos[i] = to
-	if w.touchedAt != nil {
-		w.touchedAt[i] = w.time + 1
+	between := !w.stepping
+	if between {
+		w.openRecord(false)
 	}
-	w.robots[i].Frame = w.robots[i].Frame.WithOrigin(to)
-	if w.trace != nil {
-		w.trace.record(w.time, i, from, to)
-	}
-	if w.stream != nil {
-		w.stream.RecordMove(w.time, i, to)
+	w.move(i, to)
+	if between {
+		// A write between instants closes its own out-of-step record;
+		// one from BeginStep (a displacement) joins the open instant.
+		w.dispatch(time.Time{})
 	}
 	return nil
 }
 
 // EnableTouchTracking starts recording, per robot, the instant of its
-// last position write. Idempotent; costs one int write per applied
-// move. Delta checkpointing turns it on so a capture touches only the
-// robots that moved since the previous one.
+// last position write. Idempotent; costs one int write per position
+// write, at record dispatch. Delta checkpointing turns it on so a
+// capture touches only the robots that moved since the previous one.
 func (w *World) EnableTouchTracking() {
 	if w.touchedAt == nil {
 		w.touchedAt = make([]int, len(w.robots))

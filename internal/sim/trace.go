@@ -43,16 +43,18 @@ func NewTrace(initial []geom.Point) *Trace {
 	return &Trace{initial: init}
 }
 
-func (tr *Trace) record(t, robot int, from, to geom.Point) {
-	tr.moves = append(tr.moves, Move{Time: t, Robot: robot, From: from, To: to})
-}
-
-func (tr *Trace) endStep(t int, active []int, positions []geom.Point) {
-	act := make([]int, len(active))
-	copy(act, active)
+// add folds a closed record into the trace: every position write as a
+// move and, for an instant, its activation set and configuration.
+func (tr *Trace) add(rec *Record, positions []geom.Point) {
+	tr.moves = append(tr.moves, rec.Moves...)
+	if !rec.InStep {
+		return
+	}
+	act := make([]int, len(rec.Active))
+	copy(act, rec.Active)
 	pos := make([]geom.Point, len(positions))
 	copy(pos, positions)
-	tr.steps = append(tr.steps, StepRecord{Time: t, Active: act, Positions: pos})
+	tr.steps = append(tr.steps, StepRecord{Time: rec.Time, Active: act, Positions: pos})
 }
 
 // Initial returns the initial configuration.

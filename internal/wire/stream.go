@@ -22,7 +22,7 @@
 //	keyframe: time, positions (encodePositions), delivered, digest
 //	step:     time, moves, active set, deliveries, fault events
 //	events:   time, moves, deliveries, fault events (no step row —
-//	          used for trailing teleports/deliveries flushed at close)
+//	          teleports between steps, deliveries flushed at close)
 //
 // Moves are sparse: signed index gaps plus per-coordinate deltas
 // against the previous position of the moved robot, fixed-point when
@@ -37,6 +37,7 @@ import (
 	"os"
 
 	"waggle/internal/ckpt"
+	"waggle/internal/obs"
 )
 
 // StreamSchema is the version tag written in every stream header.
@@ -70,20 +71,11 @@ const (
 )
 
 // StreamMove is one robot's position change within a step, in
-// application order (a teleport may interleave with scheduler moves,
-// and a robot may appear more than once).
+// application order (injector displacements precede the scheduler's
+// moves, so a robot may appear more than once).
 type StreamMove struct {
 	Robot int
 	To    ckpt.XY
-}
-
-// StreamEvent is a fault-family trace event carried in the stream.
-type StreamEvent struct {
-	Kind  byte
-	T     int
-	Robot int
-	Peer  int
-	Val   float64
 }
 
 // StreamRecord is one decoded stream record. Offset/Next are its byte
@@ -109,7 +101,7 @@ type StreamRecord struct {
 	Moves      []StreamMove
 	Active     []int
 	Deliveries []ckpt.MessageState
-	Events     []StreamEvent
+	Events     []obs.Event
 }
 
 // ---------------------------------------------------------------------
@@ -233,7 +225,7 @@ func (sw *StreamWriter) AppendKeyframe(t int, positions []ckpt.XY, delivered int
 // AppendStep writes one step record: the moves applied at time t (in
 // application order), the activated set, the deliveries collected for
 // the step, and any fault events observed during it.
-func (sw *StreamWriter) AppendStep(t int, moves []StreamMove, active []int, deliveries []ckpt.MessageState, events []StreamEvent) error {
+func (sw *StreamWriter) AppendStep(t int, moves []StreamMove, active []int, deliveries []ckpt.MessageState, events []obs.Event) error {
 	if sw.needKeyframe {
 		return errors.New("wire: stream needs a keyframe before step records")
 	}
@@ -251,9 +243,9 @@ func (sw *StreamWriter) AppendStep(t int, moves []StreamMove, active []int, deli
 
 // AppendEvents writes an out-of-step record — moves (teleports),
 // deliveries, or events that happened at time t without an enclosing
-// step, e.g. stragglers flushed when the stream closes. A replay
-// applies its moves but emits no step row.
-func (sw *StreamWriter) AppendEvents(t int, moves []StreamMove, deliveries []ckpt.MessageState, events []StreamEvent) error {
+// step, e.g. a teleport between instants or the deliveries flushed when
+// the stream closes. A replay applies its moves but emits no step row.
+func (sw *StreamWriter) AppendEvents(t int, moves []StreamMove, deliveries []ckpt.MessageState, events []obs.Event) error {
 	if sw.needKeyframe {
 		return errors.New("wire: stream needs a keyframe before event records")
 	}
@@ -347,10 +339,10 @@ func encodeActive(w *writer, active []int) {
 	}
 }
 
-func encodeStreamEvents(w *writer, events []StreamEvent) {
+func encodeStreamEvents(w *writer, events []obs.Event) {
 	w.uint(len(events))
 	for _, e := range events {
-		w.byte(e.Kind)
+		w.byte(byte(e.Kind))
 		w.int(e.T)
 		w.int(e.Robot)
 		w.int(e.Peer)
@@ -493,15 +485,15 @@ func decodeActive(r *reader) []int {
 	return out
 }
 
-func decodeStreamEvents(r *reader) []StreamEvent {
+func decodeStreamEvents(r *reader) []obs.Event {
 	count, _ := r.sliceLenRaw(12)
 	if count == 0 || r.err != nil {
 		return nil
 	}
-	out := make([]StreamEvent, 0, count)
+	out := make([]obs.Event, 0, count)
 	for k := 0; k < count && r.err == nil; k++ {
-		out = append(out, StreamEvent{
-			Kind:  r.byte(),
+		out = append(out, obs.Event{
+			Kind:  obs.EventKind(r.byte()),
 			T:     r.int(),
 			Robot: r.int(),
 			Peer:  r.int(),

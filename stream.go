@@ -7,44 +7,35 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"waggle/internal/ckpt"
-	"waggle/internal/geom"
-	"waggle/internal/obs"
 	"waggle/internal/wire"
 )
 
 // StreamWriter records a swarm's execution as an append-only
 // waggle-stream/v1 file (see internal/wire): per-step movement deltas,
 // activation sets, deliveries, and fault events, punctuated by
-// self-describing keyframes so a reader can join mid-stream. It taps
-// the step loop directly on the stepping goroutine, so the stream is
-// byte-identical under both engines, and it batches fsyncs, so the
-// per-step overhead stays a small fraction of the step itself.
+// self-describing keyframes so a reader can join mid-stream. It reads
+// each record the world closes, on the stepping goroutine, so the
+// stream is byte-identical under both engines, and it batches fsyncs,
+// so the per-step overhead stays a small fraction of the step itself.
 //
 // A stream is not part of the run's identity: attaching one is not
 // recorded in the input log and a checkpoint-restored swarm replays
-// without re-streaming. Close flushes stragglers (teleports and
-// deliveries collected after the last step), writes a final keyframe
-// carrying the live trace digest (when the swarm runs WithTrace), and
-// detaches the taps.
+// without re-streaming. Close flushes the deliveries collected after
+// the last step, writes a final keyframe carrying the live trace digest
+// (when the swarm runs WithTrace), and detaches the writer.
 type StreamWriter struct {
 	s    *Swarm
 	w    *wire.StreamWriter
 	path string
 
-	// Stepping-goroutine state: moves staged for the current instant
-	// and the cursor into the network's collected-delivery log.
-	pendMoves []wire.StreamMove
-	sinceKey  int
-	cursor    int
-
-	// pendEvents buffers fault events between end-of-step marks; the
-	// parallel engine records them from worker goroutines, hence the
-	// mutex (the only concurrent path into the writer).
-	mu         sync.Mutex
-	pendEvents []obs.Event
+	// Stepping-goroutine state: the record's moves in wire form (a
+	// reused buffer), steps since the last keyframe, and the cursor into
+	// the network's collected-delivery log.
+	moves    []wire.StreamMove
+	sinceKey int
+	cursor   int
 
 	err    error
 	closed bool
@@ -75,9 +66,6 @@ func (s *Swarm) NewStreamWriter(path string) (*StreamWriter, error) {
 		return nil, fmt.Errorf("waggle: stream: %w", err)
 	}
 	s.net.World().SetStreamSink(streamTap{sw})
-	if s.opts.observer != nil {
-		s.opts.observer.inner.SetEventSink(sw.noteEvent)
-	}
 	s.stream = sw
 	return sw, nil
 }
@@ -105,10 +93,11 @@ func (sw *StreamWriter) Sync() error {
 	return sw.w.Sync()
 }
 
-// Close flushes pending stragglers as an out-of-step record, writes a
-// final keyframe carrying the live trace digest (WithTrace swarms; ""
-// otherwise), detaches the taps, and closes the file. Idempotent; the
-// swarm may attach a new stream afterwards.
+// Close flushes the deliveries collected since the last step as an
+// out-of-step record, writes a final keyframe carrying the live trace
+// digest (WithTrace swarms; "" otherwise), detaches the writer, and
+// closes the file. Idempotent; the swarm may attach a new stream
+// afterwards.
 func (sw *StreamWriter) Close() error {
 	if sw.closed {
 		return sw.err
@@ -116,18 +105,10 @@ func (sw *StreamWriter) Close() error {
 	sw.closed = true
 	s := sw.s
 	s.net.World().SetStreamSink(nil)
-	if s.opts.observer != nil {
-		s.opts.observer.inner.SetEventSink(nil)
-	}
 	s.stream = nil
 	if sw.err == nil {
-		evs := sw.drainEvents()
-		del := sw.drainDeliveries()
-		if len(sw.pendMoves) > 0 || len(del) > 0 || len(evs) > 0 {
-			if err := sw.w.AppendEvents(s.Time(), sw.pendMoves, del, evs); err != nil {
-				sw.err = err
-			}
-			sw.pendMoves = nil
+		if del := sw.drainDeliveries(); len(del) > 0 {
+			sw.err = sw.w.AppendEvents(s.Time(), nil, del, nil)
 		}
 	}
 	if sw.err == nil {
@@ -159,30 +140,31 @@ func (sw *StreamWriter) worldXY() []ckpt.XY {
 }
 
 // streamTap adapts the writer to sim.StreamSink without exporting the
-// step-loop callbacks on the public type.
+// record callback on the public type.
 type streamTap struct{ sw *StreamWriter }
 
-func (t streamTap) RecordMove(tm, robot int, to geom.Point) {
-	sw := t.sw
-	if sw.err != nil {
-		return
-	}
-	sw.pendMoves = append(sw.pendMoves, wire.StreamMove{Robot: robot, To: ckpt.XY{X: to.X, Y: to.Y}})
-}
-
+// EndStep writes the record the world just closed: an instant as a
+// step record (plus a keyframe every StreamKeyframeEvery steps), an
+// out-of-step record — a teleport between instants — as an events
+// record.
 func (t streamTap) EndStep(tm int, active []int) {
 	sw := t.sw
 	if sw.err != nil {
-		sw.pendMoves = sw.pendMoves[:0]
 		return
 	}
-	evs := sw.drainEvents()
-	del := sw.drainDeliveries()
-	if err := sw.w.AppendStep(tm, sw.pendMoves, active, del, evs); err != nil {
+	rec := sw.s.net.World().Record()
+	sw.moves = sw.moves[:0]
+	for _, m := range rec.Moves {
+		sw.moves = append(sw.moves, wire.StreamMove{Robot: m.Robot, To: ckpt.XY{X: m.To.X, Y: m.To.Y}})
+	}
+	if !rec.InStep {
+		sw.err = sw.w.AppendEvents(tm, sw.moves, nil, rec.Events)
+		return
+	}
+	if err := sw.w.AppendStep(tm, sw.moves, active, sw.drainDeliveries(), rec.Events); err != nil {
 		sw.err = err
 		return
 	}
-	sw.pendMoves = sw.pendMoves[:0]
 	sw.sinceKey++
 	if sw.sinceKey >= wire.StreamKeyframeEvery {
 		sw.sinceKey = 0
@@ -192,37 +174,6 @@ func (t streamTap) EndStep(tm int, active []int) {
 			sw.err = err
 		}
 	}
-}
-
-// noteEvent is the obs tap: it buffers the fault-family events (crash,
-// noise, displacement, truncation, radio outage/jam, ...) for the
-// step's record. Must be concurrency-safe — the parallel engine
-// records perturbations from worker goroutines.
-func (sw *StreamWriter) noteEvent(e obs.Event) {
-	if e.Kind < obs.EvCrash || e.Kind > obs.EvJam {
-		return
-	}
-	sw.mu.Lock()
-	sw.pendEvents = append(sw.pendEvents, e)
-	sw.mu.Unlock()
-}
-
-// drainEvents takes the buffered fault events in canonical trace order
-// (engine-independent, like the obs snapshot normalization).
-func (sw *StreamWriter) drainEvents() []wire.StreamEvent {
-	sw.mu.Lock()
-	evs := sw.pendEvents
-	sw.pendEvents = nil
-	sw.mu.Unlock()
-	if len(evs) == 0 {
-		return nil
-	}
-	obs.SortEvents(evs)
-	out := make([]wire.StreamEvent, len(evs))
-	for i, e := range evs {
-		out[i] = wire.StreamEvent{Kind: byte(e.Kind), T: e.T, Robot: e.Robot, Peer: e.Peer, Val: e.Val}
-	}
-	return out
 }
 
 // drainDeliveries advances the cursor over the network's

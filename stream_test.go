@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"waggle/internal/ckpt"
+	"waggle/internal/geom"
 	"waggle/internal/wire"
 )
 
@@ -224,40 +226,102 @@ func TestStreamResumeAppend(t *testing.T) {
 }
 
 // TestStreamFaultEvents verifies fault-family trace events ride the
-// stream (via the obs tap), with the crash events of a seeded plan
-// visible to a replay.
+// stream (via the step record), with the crash events of a seeded plan
+// visible to a replay, and that they do so whether or not an observer
+// is attached: the same faulted run streams the same bytes either way.
 func TestStreamFaultEvents(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.wstream")
-	plan := FaultPlan{Events: []FaultEvent{
-		{Kind: FaultCrash, At: 3, Robot: 1},
-	}}
-	s, err := NewSwarm(ckptTestPositions(),
-		WithSeed(12345), WithTrace(), WithObserver(NewObserver()),
-		WithSynchronous(), WithFaultPlan(plan), WithStream(path))
-	if err != nil {
-		t.Fatalf("NewSwarm: %v", err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := s.Step(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
+	files := map[string][]byte{}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"observer", []Option{WithObserver(NewObserver())}},
+		{"no-observer", nil},
+	} {
+		path := filepath.Join(t.TempDir(), "run.wstream")
+		plan := FaultPlan{Events: []FaultEvent{
+			{Kind: FaultCrash, At: 3, Robot: 1},
+		}}
+		opts := append([]Option{WithSeed(12345), WithTrace(),
+			WithSynchronous(), WithFaultPlan(plan), WithStream(path)}, tc.opts...)
+		s, err := NewSwarm(ckptTestPositions(), opts...)
+		if err != nil {
+			t.Fatalf("%s: NewSwarm: %v", tc.name, err)
 		}
+		for i := 0; i < 10; i++ {
+			if err := s.Step(); err != nil {
+				t.Fatalf("%s: step %d: %v", tc.name, i, err)
+			}
+		}
+		if err := s.Stream().Close(); err != nil {
+			t.Fatalf("%s: close stream: %v", tc.name, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: read stream: %v", tc.name, err)
+		}
+		recs, _, err := wire.DecodeStream(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		events := 0
+		for _, rec := range recs {
+			events += len(rec.Events)
+		}
+		if events == 0 {
+			t.Fatalf("%s: crash plan produced no fault events in the stream", tc.name)
+		}
+		files[tc.name] = data
+	}
+	if a, b := files["observer"], files["no-observer"]; !bytes.Equal(a, b) {
+		t.Errorf("stream depends on the observer: %d B with it, %d B without", len(a), len(b))
+	}
+}
+
+// TestStreamOutOfStepTeleport: a teleport between instants reaches the
+// stream at once, as an events record carrying the one move, and the
+// replay still lands on the live positions and trace digest.
+func TestStreamOutOfStepTeleport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.wstream")
+	s, err := NewSwarm(ckptTestPositions(), WithSeed(1), WithSynchronous(), WithTrace(), WithStream(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.net.World().Teleport(2, geom.Pt(3, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Step(); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Stream().Close(); err != nil {
-		t.Fatalf("close stream: %v", err)
+		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("read stream: %v", err)
+		t.Fatal(err)
 	}
 	recs, _, err := wire.DecodeStream(data)
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatal(err)
 	}
-	events := 0
+	var out []wire.StreamRecord
 	for _, rec := range recs {
-		events += len(rec.Events)
+		if rec.Kind == wire.StreamEvents {
+			out = append(out, rec)
+		}
 	}
-	if events == 0 {
-		t.Fatal("crash plan produced no fault events in the stream")
+	if len(out) != 1 || out[0].T != 1 || len(out[0].Moves) != 1 ||
+		out[0].Moves[0] != (wire.StreamMove{Robot: 2, To: ckpt.XY{X: 3, Y: 7}}) {
+		t.Fatalf("events records = %+v, want one carrying the teleport at t=1", out)
+	}
+	rep, err := ReplayStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Positions, s.Positions()) || rep.Digest != liveTraceDigest(t, s) {
+		t.Errorf("replay diverges from the live run: %v vs %v", rep.Positions, s.Positions())
 	}
 }
