@@ -57,6 +57,8 @@ type StepSpeedup struct {
 type StepBench struct {
 	Schema     string        `json:"schema"`
 	GoMaxProcs int           `json:"gomaxprocs"`
+	CPUs       int           `json:"cpus"`
+	GoVersion  string        `json:"go_version"`
 	Results    []StepResult  `json:"results"`
 	Speedups   []StepSpeedup `json:"speedups"`
 	Notes      []string      `json:"notes"`
@@ -187,7 +189,10 @@ func runStep(out string, smoke bool) error {
 	if smoke {
 		sizes = []int{500, 1500}
 	}
-	bench := StepBench{Schema: stepSchema, GoMaxProcs: runtime.GOMAXPROCS(0)}
+	bench := StepBench{Schema: stepSchema, GoMaxProcs: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU(), GoVersion: runtime.Version()}
+	if !smoke {
+		fmt.Printf("host gomaxprocs=%d cpus=%d %s\n", bench.GoMaxProcs, bench.CPUs, bench.GoVersion)
+	}
 	legacySync := map[int]StepResult{} // n -> legacy result per workload key below
 	legacySparse := map[int]StepResult{}
 	for _, n := range sizes {

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -150,5 +151,87 @@ func TestFramePropertyMirrorFlipsChirality(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refAxes, refToLocal, refToWorld, refVecToLocal and refVecToWorld are
+// the per-call frame arithmetic that Basis replaced, kept as the
+// reference: every transform must return the same bits.
+func refAxes(f Frame) (ex, ey Vec) {
+	s, c := math.Sincos(f.Theta)
+	ex = Vec{X: c, Y: s}.Scale(f.scaleOr1())
+	ey = ex.Perp()
+	if f.Hand == LeftHanded {
+		ey = ey.Neg()
+	}
+	return ex, ey
+}
+
+func refToLocal(f Frame, world Point) Point {
+	d := world.Sub(f.Origin)
+	ex, ey := refAxes(f)
+	inv := 1 / (f.scaleOr1() * f.scaleOr1())
+	return Point{X: d.Dot(ex) * inv, Y: d.Dot(ey) * inv}
+}
+
+func refToWorld(f Frame, local Point) Point {
+	ex, ey := refAxes(f)
+	return f.Origin.Add(ex.Scale(local.X)).Add(ey.Scale(local.Y))
+}
+
+func refVecToLocal(f Frame, world Vec) Vec {
+	ex, ey := refAxes(f)
+	inv := 1 / (f.scaleOr1() * f.scaleOr1())
+	return Vec{X: world.Dot(ex) * inv, Y: world.Dot(ey) * inv}
+}
+
+func refVecToWorld(f Frame, local Vec) Vec {
+	ex, ey := refAxes(f)
+	return ex.Scale(local.X).Add(ey.Scale(local.Y))
+}
+
+// sameBits reports whether a and b have identical float64 bit patterns.
+func sameBits(a, b Point) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y)
+}
+
+// TestBasisMatchesPerCallArithmetic compares the four Frame transforms,
+// and the same transforms through one Basis, bit for bit with the
+// reference arithmetic, over random frames of both handednesses and
+// scales != 1 (including the defaulted non-positive scale).
+func TestBasisMatchesPerCallArithmetic(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	coord := func() float64 { return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(7)-2)) }
+	for it := 0; it < 20000; it++ {
+		hand := RightHanded
+		if it%2 == 1 {
+			hand = LeftHanded
+		}
+		scale := math.Exp(rng.NormFloat64())
+		switch it % 50 {
+		case 7:
+			scale = -2 // defaulted to 1 by scaleOr1
+		case 13:
+			scale = 1
+		}
+		f := Frame{Origin: Pt(coord(), coord()), Theta: (rng.Float64() - 0.5) * 20, Scale: scale, Hand: hand}
+		b := f.Basis()
+		p := Pt(coord(), coord())
+		v := V(coord(), coord())
+		cases := []struct {
+			name            string
+			got, viaB, want Point
+		}{
+			{"ToLocal", f.ToLocal(p), b.ToLocal(p), refToLocal(f, p)},
+			{"ToWorld", f.ToWorld(p), b.ToWorld(p), refToWorld(f, p)},
+			{"VecToLocal", Point(f.VecToLocal(v)), Point(b.VecToLocal(v)), Point(refVecToLocal(f, v))},
+			{"VecToWorld", Point(f.VecToWorld(v)), Point(b.VecToWorld(v)), Point(refVecToWorld(f, v))},
+		}
+		for _, c := range cases {
+			if !sameBits(c.got, c.want) || !sameBits(c.viaB, c.want) {
+				t.Fatalf("%s of frame %+v: Frame %#v, Basis %#v, reference %#v", c.name, f, c.got, c.viaB, c.want)
+			}
+		}
 	}
 }

@@ -85,12 +85,14 @@ type sideOf int
 // scheme) and the diameter count.
 type slicer struct {
 	ref       geom.Vec // unit reference direction (diameter 0, positive end)
+	refAngle  float64  // ref.Angle(), fixed with ref
 	diameters int
 }
 
 // newSlicer builds a slicer; ref must be non-zero.
 func newSlicer(ref geom.Vec, diameters int) slicer {
-	return slicer{ref: ref.Unit(), diameters: diameters}
+	u := ref.Unit()
+	return slicer{ref: u, refAngle: u.Angle(), diameters: diameters}
 }
 
 // direction returns the unit vector of the positive (side-0) end of
@@ -111,7 +113,7 @@ func (s slicer) direction(k int, side sideOf) geom.Vec {
 // pair. The displacement must be non-zero.
 func (s slicer) classify(d geom.Vec) (k int, side sideOf) {
 	// Clockwise angle of d from the reference direction.
-	alpha := geom.NormalizeAngle(s.ref.Angle() - d.Angle())
+	alpha := geom.NormalizeAngle(s.refAngle - d.Angle())
 	halfStep := math.Pi / float64(s.diameters)
 	m := int(math.Round(alpha/halfStep)) % (2 * s.diameters)
 	if m < 0 {

@@ -70,11 +70,14 @@ type viewScratch struct {
 }
 
 // cellBatch holds one worker's reusable buffers for batched compact-view
-// construction: the active residents of the cell being processed and the
-// shared candidate superset of their sensor discs.
+// construction: the active residents of the cell being processed, the
+// candidate superset of their sensor discs with each candidate's
+// snapshot position, and one resident's visible candidates as sort keys.
 type cellBatch struct {
 	residents []int32
 	cand      []int32
+	pos       []geom.Point
+	keys      []uint64
 }
 
 // SetEngine switches the step-engine mode. Safe between steps; the mode
@@ -153,12 +156,12 @@ func (w *World) computeMoves(active []int) {
 // computeMovesBatched is the compact-view fast path: instead of one
 // grid-window walk per observer, workers claim grid cells, gather each
 // cell's candidate superset once (the window of the cell under its
-// residents' largest sensor radius), and build every active resident's
-// view by filtering that shared, sorted candidate list with the exact
-// sensor predicate — amortising the window walk and keeping the
-// frame transforms streaming over one cell's working set. Every
-// destination still lands in its own active slot, so the execution is
-// identical to the per-robot path in every engine mode.
+// residents' largest sensor radius) together with the candidates'
+// positions, and build every active resident's view by filtering that
+// shared list with the exact sensor predicate — amortising the window
+// walk and keeping the filter streaming over one cell's working set.
+// Every destination still lands in its own active slot, so the
+// execution is identical to the per-robot path in every engine mode.
 func (w *World) computeMovesBatched(active []int) {
 	for k, i := range active {
 		w.activeSlot[i] = int32(k)
@@ -217,10 +220,11 @@ func (w *World) computeCell(c int, sc *cellBatch) {
 		return
 	}
 	cand := w.viewIndex.AppendCellWindow(sc.cand[:0], c, rmax)
-	// Ascending candidate order makes the filtered compact views
-	// index-sorted, matching the per-robot construction bit-for-bit.
-	slices.Sort(cand)
-	sc.cand = cand
+	pos := sc.pos[:0]
+	for _, j := range cand {
+		pos = append(pos, w.snapshot[j])
+	}
+	sc.cand, sc.pos = cand, pos
 	for _, j := range residents {
 		k := w.activeSlot[j]
 		if w.visRadii[j] <= 0 {
@@ -228,7 +232,7 @@ func (w *World) computeCell(c int, sc *cellBatch) {
 			w.dests[k], w.errs[k] = w.safeComputeMove(int(j))
 			continue
 		}
-		w.dests[k], w.errs[k] = w.safeComputeMoveFrom(int(j), cand)
+		w.dests[k], w.errs[k] = w.safeComputeMoveFrom(int(j), sc)
 	}
 }
 
@@ -254,28 +258,37 @@ func (w *World) safeComputeMove(i int) (dest geom.Point, err error) {
 }
 
 // safeComputeMoveFrom is safeComputeMove for the batched path: the view
-// is filtered from a shared sorted candidate superset.
-func (w *World) safeComputeMoveFrom(i int, cand []int32) (dest geom.Point, err error) {
+// is filtered from the cell's gathered candidates. Each visible
+// candidate becomes the key robot index<<32 | slot; an index occurs at
+// most once in a window, so sorting the keys orders the view by robot
+// index, as the per-robot construction does, and the slot finds the
+// gathered position.
+func (w *World) safeComputeMoveFrom(i int, sc *cellBatch) (dest geom.Point, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sim: robot %d behavior panicked: %v", i, r)
 		}
 	}()
-	snapshot := w.snapshot
-	sc := &w.scratch[i]
-	self := snapshot[i]
-	r := w.visRadii[i]
-	idx := sc.cidx[:0]
-	for _, j := range cand {
-		if self.Dist(snapshot[j]) <= r {
-			idx = append(idx, int(j))
+	s := newSensor(w.snapshot[i], w.visRadii[i])
+	keys := sc.keys[:0]
+	for k, p := range sc.pos {
+		if s.sees(p) {
+			keys = append(keys, uint64(sc.cand[k])<<32|uint64(k))
 		}
 	}
-	sc.cidx = idx
+	slices.Sort(keys)
+	sc.keys = keys
 	if o := w.obs; o != nil {
 		o.Sim.ViewIndexViews.Inc()
 	}
-	return w.finishMove(i, w.finishCompact(i, idx, snapshot))
+	vs := &w.scratch[i]
+	b := w.frames[i].Basis()
+	idx, pts := vs.cidx[:0], vs.cpts[:0]
+	for _, key := range keys {
+		idx = append(idx, int(key>>32))
+		pts = append(pts, b.ToLocal(sc.pos[uint32(key)]))
+	}
+	return w.finishMove(i, w.finishCompact(i, idx, pts))
 }
 
 // computeMove runs robot i's observe–compute–clamp cycle against the

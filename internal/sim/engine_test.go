@@ -499,26 +499,32 @@ func (s *recordSink) EndStep(t int, active []int) {
 // sequential step of a plain (untraced, anonymous, unlimited-vision)
 // world performs zero heap allocations in the engine itself, and so
 // does one whose record feeds a stream sink and the delta-checkpoint
-// touch set — the record's buffers are reused too.
+// touch set — the record's buffers are reused too — and a compact world
+// with limited visibility, whose every instant rebuilds the grid and
+// runs the batched kernel on its per-worker gather, position and key
+// buffers.
 func TestStepAllocationFree(t *testing.T) {
+	stay := func(v View) geom.Point { return v.Points[v.Self] }
+	sway := func(v View) geom.Point { return geom.Pt(0.5-float64(v.Time%2), 0) }
 	for _, tc := range []struct {
 		name   string
+		n      int
+		vis    float64 // sensor radius; 0 is unlimited
+		step   BehaviorFunc
 		attach func(w *World)
 	}{
-		{"bare", func(*World) {}},
-		{"sink+touch", func(w *World) {
+		{"bare", 32, 0, stay, func(*World) {}},
+		{"sink+touch", 32, 0, stay, func(w *World) {
 			w.SetStreamSink(&recordSink{w: w})
 			w.EnableTouchTracking()
 		}},
+		{"compact-batched", 2 * viewIndexMinN, 25, sway, func(w *World) { w.SetCompactViews(true) }},
 	} {
-		n := 32
-		positions := make([]geom.Point, n)
-		robots := make([]*Robot, n)
+		positions := make([]geom.Point, tc.n)
+		robots := make([]*Robot, tc.n)
 		for i := range positions {
-			positions[i] = geom.Pt(float64(i)*10, 0)
-			robots[i] = &Robot{Frame: geom.WorldFrame(), Sigma: 1, Behavior: BehaviorFunc(func(v View) geom.Point {
-				return v.Points[v.Self]
-			})}
+			positions[i] = geom.Pt(float64(i%32)*10, float64(i/32)*10)
+			robots[i] = &Robot{Frame: geom.WorldFrame(), Sigma: 1, VisRadius: tc.vis, Behavior: tc.step}
 		}
 		w, err := NewWorld(Config{Positions: positions, Robots: robots, Engine: EngineSequential})
 		if err != nil {
@@ -528,6 +534,9 @@ func TestStepAllocationFree(t *testing.T) {
 		sched := Synchronous{}
 		if _, err := w.Step(sched); err != nil { // warm up scratch buffers
 			t.Fatal(err)
+		}
+		if tc.vis > 0 && !w.viewIndexActive {
+			t.Fatalf("%s: the step did not use the grid", tc.name)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
 			if _, err := w.Step(sched); err != nil {

@@ -245,3 +245,83 @@ func TestDynamicRadiiMatchesBrute(t *testing.T) {
 		})
 	}
 }
+
+// cellVisitWindow is the per-cell gather AppendCellWindow replaced: it
+// visits the window's cells one at a time through visitCell.
+func cellVisitWindow(g *Grid, c int, r float64) []int32 {
+	var out []int32
+	if g.cols <= 0 || r < 0 {
+		return out
+	}
+	cx, cy := c%g.cols, c/g.cols
+	sx, sy := spanCells(r, g.cellW, g.cols), spanCells(r, g.cellH, g.rows)
+	for y := g.clampRow(cy - sy); y <= g.clampRow(cy+sy); y++ {
+		for x := g.clampCol(cx - sx); x <= g.clampCol(cx+sx); x++ {
+			g.visitCell(x, y, func(j int32) { out = append(out, j) })
+		}
+	}
+	return out
+}
+
+// TestAppendCellWindowMatchesCellVisits pins the row-run window gather:
+// on a freshly rebuilt grid (whole CSR row runs) and on one with Moves
+// outstanding (moved-out items masked, spill lists appended), the window
+// holds each point at most once, the same set as the per-cell visits,
+// and every point within r of a member of the cell.
+func TestAppendCellWindowMatchesCellVisits(t *testing.T) {
+	for _, n := range []int{64, 1024} {
+		rng := rand.New(rand.NewSource(int64(5 + n)))
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		}
+		g := NewGrid(pts)
+		for phase := 0; phase < 2; phase++ {
+			if phase == 1 {
+				for m := 0; m < n/8; m++ {
+					i := rng.Intn(n)
+					to := geom.Pt(pts[i].X+rng.NormFloat64()*30, pts[i].Y+rng.NormFloat64()*30)
+					if m%5 == 0 {
+						to = geom.Pt(rng.Float64()*1600-300, rng.Float64()*1600-300)
+					}
+					from := pts[i]
+					pts[i] = to
+					g.Move(i, from, to)
+				}
+				if g.MovedFraction() == 0 {
+					t.Fatal("no point left its bucket")
+				}
+			}
+			for c := 0; c < g.CellCount(); c++ {
+				var members []int32
+				g.VisitCellMembers(c, func(j int32) { members = append(members, j) })
+				for _, r := range []float64{0, 3, 40, 260, math.Inf(1)} {
+					got := g.AppendCellWindow(nil, c, r)
+					in := make(map[int32]bool, len(got))
+					for _, j := range got {
+						if in[j] {
+							t.Fatalf("n=%d phase %d cell %d r %v: point %d gathered twice", n, phase, c, r, j)
+						}
+						in[j] = true
+					}
+					want := cellVisitWindow(g, c, r)
+					if len(want) != len(got) {
+						t.Fatalf("n=%d phase %d cell %d r %v: %d points, cell visits give %d", n, phase, c, r, len(got), len(want))
+					}
+					for _, j := range want {
+						if !in[j] {
+							t.Fatalf("n=%d phase %d cell %d r %v: point %d missing", n, phase, c, r, j)
+						}
+					}
+					for _, i := range members {
+						for _, j := range bruteNeighborhoodSet(pts, pts[i], r) {
+							if !in[int32(j)] {
+								t.Fatalf("n=%d phase %d cell %d r %v: point %d within r of member %d missing", n, phase, c, r, j, i)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -10,7 +10,7 @@
 //
 //   - The grid only narrows the candidate set. Final predicates
 //     ("distance <= r", "distance < minSep") are evaluated by the caller
-//     with exactly the arithmetic the brute-force scan uses
+//     and decide exactly what the brute-force scan's arithmetic decides
 //     (geom.Point.Dist, i.e. math.Hypot), so a candidate superset yields
 //     the same accepted set, the same minimum value, and — with the
 //     shared lowest-index tie rule — the same argmin.
@@ -566,7 +566,8 @@ func (g *Grid) VisitCellMembers(c int, fn func(j int32)) {
 // into c from outside the indexed box: clamping columns is monotone and
 // non-expansive, so two points within distance r land at most
 // ceil(r/cellW)+1 clamped columns apart (likewise rows). Each point is
-// appended at most once; callers apply the exact distance predicate.
+// appended at most once, in no particular order; callers apply the
+// exact distance predicate.
 func (g *Grid) AppendCellWindow(buf []int32, c int, r float64) []int32 {
 	if g.cols <= 0 || r < 0 {
 		return buf
@@ -577,8 +578,21 @@ func (g *Grid) AppendCellWindow(buf []int32, c int, r float64) []int32 {
 	x0, x1 := g.clampCol(cx-sx), g.clampCol(cx+sx)
 	y0, y1 := g.clampRow(cy-sy), g.clampRow(cy+sy)
 	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			g.visitCell(x, y, func(j int32) { buf = append(buf, j) })
+		// The CSR buckets of cells x0..x1 of one row are one run of
+		// items. While Moves are outstanding, items that left their
+		// bucket are masked out and the cells' spill lists appended.
+		lo, hi := int32(y*g.cols+x0), int32(y*g.cols+x1)
+		if g.movedN == 0 {
+			buf = append(buf, g.items[g.start[lo]:g.start[hi+1]]...)
+			continue
+		}
+		for cell := lo; cell <= hi; cell++ {
+			for _, j := range g.items[g.start[cell]:g.start[cell+1]] {
+				if g.cellOf[j] == cell {
+					buf = append(buf, j)
+				}
+			}
+			buf = append(buf, g.extra[cell]...)
 		}
 	}
 	return buf
