@@ -26,12 +26,14 @@ race:
 
 # Race-repeat gate for the step engine's concurrent paths: the fault
 # injector's per-observer event buffers are written from parallel-engine
-# workers, and the batched compact-view workers share the grid while each
-# writes its own gather, position and key buffers. -cpu 4 matters on a
-# one-CPU host, where GOMAXPROCS=1 would run a single worker and the race
+# workers, the batched compact-view workers share the grid while each
+# writes its own gather, position and key buffers, and the robots of a
+# protocol swarm decode concurrently against one shared sector table
+# (TestDecoderDigest's parallel cases). -cpu 4 matters on a one-CPU
+# host, where GOMAXPROCS=1 would run a single worker and the race
 # detector would never see two interleave.
 race-repeat:
-	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestObserverEngineParity|TestStreamFaultEvents|TestGoldenEngineParity|TestGoldenReplayFrames)$$' .
+	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestObserverEngineParity|TestStreamFaultEvents|TestGoldenEngineParity|TestGoldenReplayFrames|TestDecoderDigest)$$/^parallel$$' .
 	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestEngineParity|TestStepAllocationFree|TestTeleport|TestTraceRecording|TestCompactViewParity|TestIncrementalGridParity|TestViewIndexParityParallelEngine)$$' ./internal/sim
 
 # The speedup benchmarks for the parallel engine and sweep harness.

@@ -20,7 +20,7 @@ package naming
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"waggle/internal/geom"
 )
@@ -48,12 +48,12 @@ func LexLabels(pts []geom.Point) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		pa, pb := pts[idx[a]], pts[idx[b]]
+	slices.SortStableFunc(idx, func(a, b int) int {
+		pa, pb := pts[a], pts[b]
 		if pa.X != pb.X {
-			return pa.X < pb.X
+			return lessCmp(pa.X < pb.X)
 		}
-		return pa.Y < pb.Y
+		return lessCmp(pa.Y < pb.Y)
 	})
 	labels := make([]int, len(pts))
 	for rank, i := range idx {
@@ -104,17 +104,31 @@ func SECLabels(pts []geom.Point, observer int, enclosing geom.Circle) ([]int, er
 		}
 		ks[i] = keyed{idx: i, cw: cw, rdist: v.Len()}
 	}
-	sort.SliceStable(ks, func(a, b int) bool {
-		if math.Abs(ks[a].cw-ks[b].cw) > angleEps {
-			return ks[a].cw < ks[b].cw
+	slices.SortStableFunc(ks, func(a, b keyed) int {
+		if math.Abs(a.cw-b.cw) > angleEps {
+			return lessCmp(a.cw < b.cw)
 		}
-		return ks[a].rdist < ks[b].rdist
+		return lessCmp(a.rdist < b.rdist)
 	})
 	labels := make([]int, len(pts))
 	for rank, k := range ks {
 		labels[k.idx] = rank
 	}
 	return labels, nil
+}
+
+// lessCmp turns a less-than result into a comparison for
+// slices.SortStableFunc: negative exactly when less holds. The stable
+// sort only ever asks whether a comparison is negative, and it is the
+// same insertion-sort-and-symMerge template as sort.SliceStable, so a
+// less function and its lessCmp make the same comparisons and produce
+// the same order, even for SECLabels' angleEps comparison, which is not
+// transitive.
+func lessCmp(less bool) int {
+	if less {
+		return -1
+	}
+	return 1
 }
 
 // RotationalSymmetryOrder returns the order of the rotational symmetry

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"waggle/internal/geom"
@@ -251,5 +253,109 @@ func TestViewsIndistinguishableNegative(t *testing.T) {
 	}
 	if !ViewsIndistinguishable(pts, 2, 2) {
 		t.Error("a robot is always indistinguishable from itself")
+	}
+}
+
+// referenceLexLabels and referenceSECLabels are the labelings as sorted
+// by sort.SliceStable with the original less functions.
+func referenceLexLabels(pts []geom.Point) []int {
+	idx := make([]int, len(pts))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		pa, pb := pts[idx[a]], pts[idx[b]]
+		if pa.X != pb.X {
+			return pa.X < pb.X
+		}
+		return pa.Y < pb.Y
+	})
+	labels := make([]int, len(pts))
+	for rank, i := range idx {
+		labels[i] = rank
+	}
+	return labels
+}
+
+func referenceSECLabels(pts []geom.Point, observer int, enclosing geom.Circle) []int {
+	center := enclosing.Center
+	horizonAngle := pts[observer].Sub(center).Angle()
+	type keyed struct {
+		idx       int
+		cw, rdist float64
+	}
+	ks := make([]keyed, len(pts))
+	for i, p := range pts {
+		v := p.Sub(center)
+		var cw float64
+		if !v.IsZero() {
+			cw = geom.NormalizeAngle(horizonAngle - v.Angle())
+			if 2*math.Pi-cw < angleEps {
+				cw = 0
+			}
+		}
+		ks[i] = keyed{idx: i, cw: cw, rdist: v.Len()}
+	}
+	sort.SliceStable(ks, func(a, b int) bool {
+		if math.Abs(ks[a].cw-ks[b].cw) > angleEps {
+			return ks[a].cw < ks[b].cw
+		}
+		return ks[a].rdist < ks[b].rdist
+	})
+	labels := make([]int, len(pts))
+	for rank, k := range ks {
+		labels[k.idx] = rank
+	}
+	return labels
+}
+
+// TestLabelSortsMatchSliceStable shows the typed stable sorts give the
+// labels sort.SliceStable gave: on random configurations, on grids full
+// of exact coordinate ties, and on rays of points whose angles differ by
+// fractions and small multiples of angleEps, where SECLabels' comparison
+// is not transitive. Each swarm is larger than the sorts' insertion-sort
+// block of 20, so the merges run too.
+func TestLabelSortsMatchSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	check := func(name string, pts []geom.Point) {
+		t.Helper()
+		if got, want := LexLabels(pts), referenceLexLabels(pts); !slices.Equal(got, want) {
+			t.Fatalf("%s: LexLabels %v, sort.SliceStable gives %v", name, got, want)
+		}
+		c := secOf(t, pts)
+		for obs := range pts {
+			got, err := SECLabels(pts, obs, c)
+			if err != nil {
+				continue
+			}
+			if want := referenceSECLabels(pts, obs, c); !slices.Equal(got, want) {
+				t.Fatalf("%s observer %d: SECLabels %v, sort.SliceStable gives %v", name, obs, got, want)
+			}
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(60)
+		random := make([]geom.Point, n)
+		grid := make([]geom.Point, n)
+		for i := range random {
+			random[i] = geom.Pt(rng.Float64()*400, rng.Float64()*400)
+			grid[i] = geom.Pt(float64(rng.Intn(5)), float64(rng.Intn(5)))
+		}
+		check("random", random)
+		check("grid", grid)
+
+		// Rays from the centre of a pinned SEC whose angles step by a
+		// fraction or small multiple of angleEps.
+		rays := []geom.Point{geom.Pt(-100, 0), geom.Pt(100, 0), geom.Pt(0, 100), geom.Pt(0, -100)}
+		base := rng.Float64() * 2 * math.Pi
+		for len(rays) < 48 {
+			a := base + float64(rng.Intn(6))*angleEps*(0.3+0.5*rng.Float64())
+			if rng.Intn(4) == 0 {
+				a = -math.Pi/2 + float64(rng.Intn(3)-1)*angleEps*0.6
+			}
+			r := 10 + rng.Float64()*80
+			rays = append(rays, geom.Pt(r*math.Cos(a), r*math.Sin(a)))
+		}
+		check("rays", rays)
 	}
 }

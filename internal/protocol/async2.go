@@ -230,7 +230,7 @@ func (r *async2Robot) observePeer(view sim.View) {
 		r.peerLast = cur
 		return
 	}
-	if cur.Dist(r.peerLast) > r.tol {
+	if geom.NewBand(r.tol).Beyond(cur.X-r.peerLast.X, cur.Y-r.peerLast.Y) {
 		r.changes++
 		r.peerLast = cur
 	}

@@ -108,13 +108,14 @@ func NewAsyncN(n int, cfg AsyncNConfig) ([]sim.Behavior, []*Endpoint, error) {
 	}
 	behaviors := make([]sim.Behavior, n)
 	endpoints := make([]*Endpoint, n)
+	sectors := newSectorTable(n + 1)
 	for i := 0; i < n; i++ {
 		endpoints[i] = newEndpoint(i, n)
 		var sigma float64
 		if i < len(cfg.SigmaLocal) {
 			sigma = cfg.SigmaLocal[i]
 		}
-		behaviors[i] = &asyncNRobot{cfg: cfg, endpoint: endpoints[i], sigma: sigma, coder: standardCoder{}}
+		behaviors[i] = &asyncNRobot{cfg: cfg, endpoint: endpoints[i], sigma: sigma, coder: standardCoder{}, sectors: sectors}
 	}
 	return behaviors, endpoints, nil
 }
@@ -152,9 +153,9 @@ type asyncNRobot struct {
 
 	txBits []txBit
 
-	// diametersOverride forces the diameter count (the §5 bounded-slice
-	// variant); 0 uses the §4.2 default of n+1.
-	diametersOverride int
+	// sectors is the swarm's shared sector table; its diameter count is
+	// the §4.2 default of n+1, or k+2 in the §5 bounded-slice variant.
+	sectors *sectorTable
 	// coder maps messages to excursion sequences and back (§4.2 direct
 	// addressing, or §5 index preludes).
 	coder asyncCoder
@@ -172,7 +173,6 @@ func (r *asyncNRobot) Step(view sim.View) geom.Point {
 		r.initFrom(view)
 	}
 	r.observeAll(view)
-	r.decodeAll(view)
 
 	if r.cfgErr != nil {
 		// A robot that cannot participate (e.g. at the SEC centre) still
@@ -209,7 +209,7 @@ func (r *asyncNRobot) Err() error { return r.cfgErr }
 
 func (r *asyncNRobot) initFrom(view sim.View) {
 	r.rk.init()
-	r.geo = buildSwarmGeometry(view, r.cfg.Naming, true, r.diametersOverride, r.endpoint.radiiCache())
+	r.geo = buildSwarmGeometry(view, r.cfg.Naming, true, r.sectors, r.endpoint.radiiCache())
 	r.cfgErr = r.geo.err
 	radius := r.geo.radii[view.Self]
 	r.amp = r.cfg.AmplitudeFrac * radius
@@ -241,17 +241,33 @@ func (r *asyncNRobot) initFrom(view sim.View) {
 	}
 }
 
-// observeAll updates the per-robot change counters.
+// observeAll reads every other robot's position once, in init-local
+// coordinates. It counts the robot's position changes (the "every robot
+// changed twice" predicate of §4.2) and classifies its displacement
+// from home, emitting a bit on every transition into a recipient-slice
+// state.
 func (r *asyncNRobot) observeAll(view sim.View) {
 	for j, p := range view.Points {
 		if j == view.Self {
 			continue
 		}
 		cur := r.rk.toInit(p)
-		tol := 1e-9 * r.geo.radii[j]
-		if cur.Dist(r.lastPos[j]) > tol {
+		last := r.lastPos[j]
+		if geom.NewBand(1e-9*r.geo.radii[j]).Beyond(cur.X-last.X, cur.Y-last.Y) {
 			r.counts[j]++
 			r.lastPos[j] = cur
+		}
+		if r.sinks[j] == nil {
+			continue
+		}
+		st := r.classify(j, cur)
+		prev := r.prev[j]
+		r.prev[j] = st
+		if st.kind != stateSlice || st == prev {
+			continue
+		}
+		if rec, done := r.sinks[j].consume(st.k, st.side); done {
+			r.endpoint.deliver(rec)
 		}
 	}
 }
@@ -398,39 +414,18 @@ func (r *asyncNRobot) refillBits() bool {
 	return true
 }
 
-// decodeAll classifies every other robot's position and emits a bit on
-// every transition into a recipient-slice state.
-func (r *asyncNRobot) decodeAll(view sim.View) {
-	if r.geo == nil {
-		return
-	}
-	for j := range view.Points {
-		if j == view.Self || r.sinks[j] == nil {
-			continue
-		}
-		st := r.classify(j, view.Points[j])
-		prev := r.prev[j]
-		r.prev[j] = st
-		if st.kind != stateSlice || st == prev {
-			continue
-		}
-		if rec, done := r.sinks[j].consume(st.k, st.side); done {
-			r.endpoint.deliver(rec)
-		}
-	}
-}
-
-// classify maps robot j's observed position to a decoder state.
+// classify maps robot j's position, in init-local coordinates, to a
+// decoder state.
 func (r *asyncNRobot) classify(j int, cur geom.Point) asyncNState {
-	d := r.rk.toInit(cur).Sub(r.geo.p0[j])
-	if d.Len() <= centerTolFrac*r.geo.radii[j] {
+	d := cur.Sub(r.geo.p0[j])
+	if geom.NewBand(centerTolFrac*r.geo.radii[j]).Within(d.X, d.Y) {
 		return asyncNState{kind: stateCenter}
 	}
 	// §5: a resolution-limited sensor only distinguishes so many
 	// directions; the observed displacement snaps to the grid before
 	// classification.
 	d = quantizeDir(d, r.cfg.DirectionResolution)
-	k, side := r.geo.slicers[j].classify(d)
+	k, side := r.geo.slicers[j].classify(d, r.geo.sectors)
 	if _, isRecipient := r.geo.diameterRecipient(k); !isRecipient {
 		return asyncNState{kind: stateKappa}
 	}

@@ -167,13 +167,14 @@ func NewAsyncBounded(n, k int, cfg AsyncNConfig) ([]sim.Behavior, []*Endpoint, e
 	if err != nil {
 		return nil, nil, err
 	}
+	sectors := newSectorTable(k + 2)
 	for _, b := range behaviors {
 		robot, ok := b.(*asyncNRobot)
 		if !ok {
 			return nil, nil, fmt.Errorf("protocol: unexpected behavior type %T", b)
 		}
 		robot.coder = boundedCoder{k: k}
-		robot.diametersOverride = k + 2
+		robot.sectors = sectors
 	}
 	return behaviors, endpoints, nil
 }

@@ -29,11 +29,12 @@ type swarmGeometry struct {
 	p0    []geom.Point // initial positions, init-local
 	radii []float64    // granular radii, init-local units
 
-	diameters int  // diameters per sliced granular
-	kappa     bool // diameter 0 is the idle slice κ (§4.2)
+	kappa bool // diameter 0 is the idle slice κ (§4.2)
 
-	// slicers[j] classifies robot j's movements.
+	// slicers[j] classifies robot j's movements; all of them slice
+	// sectors.diameters diameters.
 	slicers []slicer
+	sectors *sectorTable
 	// labelOf[j][h] is the label robot j uses for the robot with home
 	// index h; homeOf[j][l] inverts it. nil for a sender with no horizon
 	// under SEC naming.
@@ -46,24 +47,19 @@ type swarmGeometry struct {
 // buildSwarmGeometry runs the preprocessing for the given naming scheme.
 // extraKappa reserves diameter 0 as the §4.2 idle slice κ, mapping
 // recipient label l to diameter l+1; otherwise label l is on diameter l.
-// diameters overrides the diameter count (0 means the default: n, or
-// n+1 with κ) — the §5 bounded-slice protocol slices far fewer
-// diameters than robots. cache, when non-nil, reuses radii work from
-// this robot's previous initialisations (bit-identical either way).
-func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, diameters int, cache *RadiiCache) *swarmGeometry {
+// sectors is the swarm's shared sector table, which fixes the diameter
+// count: n for the synchronous protocols, n+1 with κ, and far fewer
+// than robots for the §5 bounded-slice protocol. cache, when non-nil,
+// reuses radii work from this robot's previous initialisations
+// (bit-identical either way).
+func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, sectors *sectorTable, cache *RadiiCache) *swarmGeometry {
 	n := view.N()
 	g := &swarmGeometry{
-		self:  view.Self,
-		p0:    append([]geom.Point(nil), view.Points...),
-		radii: cache.Radii(view.Points),
-		kappa: extraKappa,
-	}
-	g.diameters = diameters
-	if g.diameters <= 0 {
-		g.diameters = n
-		if extraKappa {
-			g.diameters = n + 1
-		}
+		self:    view.Self,
+		p0:      append([]geom.Point(nil), view.Points...),
+		radii:   cache.Radii(view.Points),
+		kappa:   extraKappa,
+		sectors: sectors.filled(),
 	}
 	g.slicers = make([]slicer, n)
 	g.labelOf = make([][]int, n)
@@ -98,7 +94,7 @@ func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, diameters
 				}
 				continue
 			}
-			g.slicers[j] = newSlicer(horizon, g.diameters)
+			g.slicers[j] = newSlicer(horizon, g.sectors.diameters)
 			labels, err := naming.SECLabels(g.p0, j, circle)
 			if err != nil {
 				if j == g.self {
@@ -130,7 +126,7 @@ func (g *swarmGeometry) fillSharedNaming(labels []int) {
 func (g *swarmGeometry) fillNorthSlicers() {
 	north := geom.V(0, 1)
 	for j := range g.slicers {
-		g.slicers[j] = newSlicer(north, g.diameters)
+		g.slicers[j] = newSlicer(north, g.sectors.diameters)
 	}
 }
 

@@ -21,6 +21,7 @@ package protocol
 
 import (
 	"math"
+	"sync"
 
 	"waggle/internal/geom"
 	"waggle/internal/spatial"
@@ -110,9 +111,24 @@ func (s slicer) direction(k int, side sideOf) geom.Vec {
 }
 
 // classify maps an observed displacement to the nearest (diameter, side)
-// pair. The displacement must be non-zero.
-func (s slicer) classify(d geom.Vec) (k int, side sideOf) {
-	// Clockwise angle of d from the reference direction.
+// pair. The displacement must be non-zero. t is the sector table of the
+// slicer's diameter count: a displacement it certifies is classified
+// without atan2 or integer division, with the result classifyAngle
+// gives (DESIGN.md §5m); every other displacement, NaN and ±Inf
+// included, goes through classifyAngle itself.
+func (s slicer) classify(d geom.Vec, t *sectorTable) (k int, side sideOf) {
+	if m, ok := t.certify(s.ref, d); ok {
+		if m >= t.diameters {
+			return m - t.diameters, 1
+		}
+		return m, 0
+	}
+	return s.classifyAngle(d)
+}
+
+// classifyAngle is classify by the clockwise angle of d from the
+// reference direction, rounded to the nearest half-step π/diameters.
+func (s slicer) classifyAngle(d geom.Vec) (k int, side sideOf) {
 	alpha := geom.NormalizeAngle(s.refAngle - d.Angle())
 	halfStep := math.Pi / float64(s.diameters)
 	m := int(math.Round(alpha/halfStep)) % (2 * s.diameters)
@@ -124,6 +140,99 @@ func (s slicer) classify(d geom.Vec) (k int, side sideOf) {
 		side = 1
 	}
 	return k, side
+}
+
+// sectorMargin is the δ of the sector certificate: a displacement
+// (a, b) in a slicer's frame is certified in sector m only when both of
+// its cross products with the sector's boundary directions exceed
+// δ·(|a|+|b|), which puts it at least about δ radians inside the
+// sector. The atan2 pipeline of classifyAngle and the cross-product
+// geometry disagree by at most about 1e-14 radians (DESIGN.md §5m).
+const sectorMargin = 0x1p-30
+
+// sectorTable holds the sector boundaries of one diameter count D, in
+// the frame in which a slicer sees a displacement d: a = d·ref along the
+// reference direction and b = d×ref, so that d's clockwise angle from
+// the reference is atan2(b, a). Sector m (diameter m mod D, side m ≥ D)
+// spans the clockwise angles ((m−½)·π/D, (m+½)·π/D). The protocol
+// constructors build one table per diameter count, and every robot of
+// the swarm shares it, read-only once filled.
+type sectorTable struct {
+	diameters int
+	// perHalfStep is D/π, the number of half-steps per radian.
+	perHalfStep float64
+	fill        sync.Once
+	// bounds[m] and bounds[m+1] are the unit directions of sector m's
+	// lower and upper boundary, for m in [0, 2D): 2D+1 entries, whose
+	// first and last are the same boundary, so sector 0 needs no wrap.
+	bounds []geom.Vec
+}
+
+// newSectorTable returns the sector table of the given diameter count,
+// with its boundaries still to fill.
+func newSectorTable(diameters int) *sectorTable {
+	return &sectorTable{diameters: diameters, perHalfStep: float64(diameters) / math.Pi}
+}
+
+// filled fills the boundary directions on its first call and returns t.
+// Each robot calls it as it builds its swarm geometry, before its first
+// classification, so robots initialising in parallel fill the table once
+// and a swarm that is never stepped (one built only to be checkpointed,
+// say) never pays for its 2D+1 entries.
+func (t *sectorTable) filled() *sectorTable {
+	t.fill.Do(func() {
+		t.bounds = make([]geom.Vec, 2*t.diameters+1)
+		for m := range t.bounds {
+			sin, cos := math.Sincos((float64(m) - 0.5) * math.Pi / float64(t.diameters))
+			t.bounds[m] = geom.V(cos, sin)
+		}
+	})
+	return t
+}
+
+// certify returns the sector of displacement d under reference
+// direction ref when the certificate holds. It guesses the sector from
+// an approximate clockwise angle and accepts the guess only if d clears
+// both of the sector's boundaries by the margin. Displacements whose
+// L1 length in the slicer's frame lies outside [2^-1000, 2^1000] are
+// not certified: zero, subnormal, NaN and ±Inf components among them.
+func (t *sectorTable) certify(ref, d geom.Vec) (m int, ok bool) {
+	a := d.X*ref.X + d.Y*ref.Y
+	b := d.X*ref.Y - d.Y*ref.X
+	x, y := math.Abs(a), math.Abs(b)
+	l1 := x + y
+	if !(l1 >= 0x1p-1000 && l1 <= 0x1p1000) {
+		return 0, false
+	}
+	// The angle within its octant, by Abramowitz & Stegun 4.4.47
+	// (|error| <= 1e-5 rad), then unfolded into [0, 2π].
+	var q float64
+	if y > x {
+		q = x / y
+	} else {
+		q = y / x
+	}
+	q2 := q * q
+	theta := q * (0.9998660 + q2*(-0.3302995+q2*(0.1801410+q2*(-0.0851330+q2*0.0208351))))
+	if y > x {
+		theta = math.Pi/2 - theta
+	}
+	if a < 0 {
+		theta = math.Pi - theta
+	}
+	if b < 0 {
+		theta = 2*math.Pi - theta
+	}
+	m = int(theta*t.perHalfStep + 0.5)
+	if m >= 2*t.diameters {
+		m -= 2 * t.diameters
+	}
+	lo, hi := t.bounds[m], t.bounds[m+1]
+	margin := sectorMargin * l1
+	if lo.X*b-lo.Y*a > margin && a*hi.Y-b*hi.X > margin {
+		return m, true
+	}
+	return 0, false
 }
 
 // granularRadii returns, per point, half the distance to its nearest

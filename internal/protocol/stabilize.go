@@ -75,6 +75,7 @@ func NewStabilizingSyncN(n, epoch int, cfg SyncNConfig) ([]sim.Behavior, []*Endp
 	}
 	endpoints := make([]*Endpoint, n)
 	behaviors := make([]sim.Behavior, n)
+	sectors := newSectorTable(n)
 	for i := 0; i < n; i++ {
 		endpoints[i] = newEndpoint(i, n)
 		endpoint := endpoints[i]
@@ -85,7 +86,7 @@ func NewStabilizingSyncN(n, epoch int, cfg SyncNConfig) ([]sim.Behavior, []*Endp
 		behaviors[i] = &Stabilizing{
 			Epoch: epoch,
 			Make: func() sim.Behavior {
-				return &syncNRobot{cfg: cfg, endpoint: endpoint, sigma: sigma}
+				return &syncNRobot{cfg: cfg, endpoint: endpoint, sigma: sigma, sectors: sectors}
 			},
 		}
 	}

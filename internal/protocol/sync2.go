@@ -180,7 +180,7 @@ func (r *sync2Robot) nextSymbol() (int, bool) {
 func (r *sync2Robot) decode(view sim.View) {
 	peer := view.Points[view.Other()]
 	d := peer.Sub(r.rk.toCurrent(r.peerHome))
-	if d.Len() <= sync2EventFrac*r.amplitude {
+	if geom.NewBand(sync2EventFrac*r.amplitude).Within(d.X, d.Y) {
 		return
 	}
 	// The peer swings relative to ITS axis: right of the direction from

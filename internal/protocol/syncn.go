@@ -74,13 +74,14 @@ func NewSyncN(n int, cfg SyncNConfig) ([]sim.Behavior, []*Endpoint, error) {
 	}
 	behaviors := make([]sim.Behavior, n)
 	endpoints := make([]*Endpoint, n)
+	sectors := newSectorTable(n)
 	for i := 0; i < n; i++ {
 		endpoints[i] = newEndpoint(i, n)
 		var sigma float64
 		if i < len(cfg.SigmaLocal) {
 			sigma = cfg.SigmaLocal[i]
 		}
-		behaviors[i] = &syncNRobot{cfg: cfg, endpoint: endpoints[i], sigma: sigma}
+		behaviors[i] = &syncNRobot{cfg: cfg, endpoint: endpoints[i], sigma: sigma, sectors: sectors}
 	}
 	return behaviors, endpoints, nil
 }
@@ -103,8 +104,12 @@ type syncNRobot struct {
 	endpoint *Endpoint
 	sigma    float64
 
-	rk          reckoner
-	geo         *swarmGeometry
+	rk      reckoner
+	sectors *sectorTable // the swarm's shared sector table, n diameters
+	geo     *swarmGeometry
+	// decodable[j] reports whether the robot decodes robot j's
+	// excursions: j is another robot with a label and a horizon.
+	decodable   []bool
 	activations int
 	amplitude   float64
 	cfgErr      error
@@ -158,8 +163,12 @@ func (r *syncNRobot) Err() error { return r.cfgErr }
 
 func (r *syncNRobot) initFrom(view sim.View) {
 	r.rk.init()
-	r.geo = buildSwarmGeometry(view, r.cfg.Naming, false, 0, r.endpoint.radiiCache())
+	r.geo = buildSwarmGeometry(view, r.cfg.Naming, false, r.sectors, r.endpoint.radiiCache())
 	r.cfgErr = r.geo.err
+	r.decodable = make([]bool, view.N())
+	for j := range r.decodable {
+		r.decodable[j] = j != view.Self && r.geo.canDecode(j)
+	}
 	radius := r.geo.radii[view.Self]
 	r.amplitude = r.cfg.AmplitudeFrac * radius
 	if r.sigma > 0 && r.amplitude > r.sigma {
@@ -230,18 +239,15 @@ func (r *syncNRobot) nextBit() (txBit, bool) {
 // synchronous protocol all robots share the even/odd parity, so every
 // excursion is visible at exactly one odd instant.
 func (r *syncNRobot) decodeAll(view sim.View) {
-	if r.geo == nil {
-		return
-	}
-	for j := range view.Points {
-		if j == view.Self || !r.geo.canDecode(j) {
+	for j, ok := range r.decodable {
+		if !ok {
 			continue
 		}
 		d := view.Points[j].Sub(r.rk.toCurrent(r.geo.p0[j]))
-		if d.Len() <= eventTolFrac*r.geo.radii[j] {
+		if geom.NewBand(eventTolFrac*r.geo.radii[j]).Within(d.X, d.Y) {
 			continue
 		}
-		k, side := r.geo.slicers[j].classify(d)
+		k, side := r.geo.slicers[j].classify(d, r.geo.sectors)
 		label, ok := r.geo.diameterRecipient(k)
 		if !ok || label >= len(r.geo.homeOf[j]) {
 			continue

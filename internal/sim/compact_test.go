@@ -116,115 +116,3 @@ func TestCompactDigest(t *testing.T) {
 		}
 	}
 }
-
-// checkSensor fails the test unless the sensor test and the reference
-// Dist <= r agree on (self, p).
-func checkSensor(t *testing.T, self, p geom.Point, r float64) {
-	t.Helper()
-	s := newSensor(self, r)
-	if got, want := s.sees(p), self.Dist(p) <= r; got != want {
-		t.Fatalf("sensor(self %v, r %v).sees(%v) = %v, Dist <= r is %v (Dist %v)",
-			self, r, p, got, want, self.Dist(p))
-	}
-}
-
-// TestSensorMatchesDist shows the sensor test accepts exactly what
-// p.Dist(q) <= r accepts: on random pairs, on pairs a few ulps either
-// side of the disc's edge along both axes and the diagonal, at zero
-// distance, with non-finite coordinates, and for radii near and beyond
-// the range where the fast comparison applies.
-func TestSensorMatchesDist(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	radius := func() float64 { return math.Exp(rng.Float64()*20 - 8) }
-	for it := 0; it < 200000; it++ {
-		r := radius()
-		self := geom.Pt((rng.Float64()-0.5)*1e4, (rng.Float64()-0.5)*1e4)
-		p := geom.Pt(self.X+(rng.Float64()-0.5)*3*r, self.Y+(rng.Float64()-0.5)*3*r)
-		checkSensor(t, self, p, r)
-	}
-
-	// The edge of the disc. From the origin the offsets are exact, so
-	// each pair sits a known number of ulps from r; from a displaced
-	// observer the subtraction rounds, which both sides share.
-	edge := func(r, x, y float64) {
-		for _, self := range []geom.Point{{}, geom.Pt(r*0.37, -r*1.9)} {
-			checkSensor(t, self, geom.Pt(self.X-x, self.Y-y), r)
-		}
-	}
-	for it := 0; it < 2000; it++ {
-		r := radius()
-		out, in := r, r
-		for k := 0; k < 4; k++ {
-			out, in = math.Nextafter(out, math.Inf(1)), math.Nextafter(in, 0)
-			for _, v := range []float64{r, out, in} {
-				edge(r, v, 0)
-				edge(r, 0, v)
-				edge(r, -v, 0)
-				edge(r, 0, -v)
-			}
-		}
-		// Around the diagonal and at random angles: y stepped through
-		// the ulps around the value that puts (x, y) on the circle.
-		for _, a := range []float64{math.Pi / 4, rng.Float64() * 2 * math.Pi} {
-			x := r * math.Cos(a)
-			y := math.Sqrt(r*r - x*x)
-			for k := 0; k < 6; k++ {
-				y = math.Nextafter(y, 0)
-			}
-			for k := 0; k < 12; k++ {
-				edge(r, x, y)
-				edge(r, -y, x)
-				y = math.Nextafter(y, math.Inf(1))
-			}
-		}
-		edge(r, 0, 0) // zero distance
-	}
-
-	// Non-finite coordinates.
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for _, r := range []float64{1, math.Inf(1)} {
-			checkSensor(t, geom.Pt(0, 0), geom.Pt(v, 0), r)
-			checkSensor(t, geom.Pt(0, 0), geom.Pt(0.5, v), r)
-			checkSensor(t, geom.Pt(0, 0), geom.Pt(v, v), r)
-			checkSensor(t, geom.Pt(v, 1), geom.Pt(0, 0), r)
-		}
-	}
-
-	// Radii around the fast range [2^-511, 2^511]: inside it the
-	// sensor has finite bounds, outside every point takes math.Hypot.
-	for _, tc := range []struct {
-		r    float64
-		fast bool
-	}{
-		{0x1p-511, true},
-		{math.Nextafter(0x1p-511, 0), false},
-		{0x1p511, true},
-		{math.Nextafter(0x1p511, math.Inf(1)), false},
-		{1e-300, false},
-		{1e300, false},
-		{math.MaxFloat64, false},
-		{math.SmallestNonzeroFloat64, false},
-		{math.Inf(1), false},
-		{0, false},
-		{-1, false},
-		{math.NaN(), false},
-	} {
-		s := newSensor(geom.Point{}, tc.r)
-		if fast := !math.IsInf(s.lo, -1) && !math.IsInf(s.hi, 1); fast != tc.fast {
-			t.Errorf("r = %v: fast bounds %v, want %v", tc.r, fast, tc.fast)
-		}
-		r := tc.r
-		if math.IsInf(r, 1) || math.IsNaN(r) || r <= 0 {
-			r = math.MaxFloat64
-		}
-		for it := 0; it < 200; it++ {
-			a := rng.Float64() * 2 * math.Pi
-			d := r * (0.5 + rng.Float64())
-			checkSensor(t, geom.Point{}, geom.Pt(d*math.Cos(a), d*math.Sin(a)), tc.r)
-			x := r * math.Cos(a)
-			y := math.Sqrt(math.Abs(r*r - x*x))
-			checkSensor(t, geom.Point{}, geom.Pt(x, y), tc.r)
-			checkSensor(t, geom.Point{}, geom.Pt(x, math.Nextafter(y, math.Inf(1))), tc.r)
-		}
-	}
-}

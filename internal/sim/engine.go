@@ -269,10 +269,11 @@ func (w *World) safeComputeMoveFrom(i int, sc *cellBatch) (dest geom.Point, err 
 			err = fmt.Errorf("sim: robot %d behavior panicked: %v", i, r)
 		}
 	}()
-	s := newSensor(w.snapshot[i], w.visRadii[i])
+	self, s := w.snapshot[i], geom.NewBand(w.visRadii[i])
 	keys := sc.keys[:0]
 	for k, p := range sc.pos {
-		if s.sees(p) {
+		dx, dy := self.X-p.X, self.Y-p.Y
+		if in, ok := s.Fast(dx, dy); in || !ok && s.Within(dx, dy) {
 			keys = append(keys, uint64(sc.cand[k])<<32|uint64(k))
 		}
 	}

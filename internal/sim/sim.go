@@ -712,10 +712,11 @@ func (w *World) localView(i int, snapshot []geom.Point) View {
 // computeMovesBatched instead.
 func (w *World) compactView(i int, snapshot []geom.Point) View {
 	sc := &w.scratch[i]
-	s := newSensor(snapshot[i], w.visRadii[i])
+	self, s := snapshot[i], geom.NewBand(w.visRadii[i])
 	idx := sc.cidx[:0]
 	for j, p := range snapshot {
-		if s.sees(p) {
+		dx, dy := self.X-p.X, self.Y-p.Y
+		if in, ok := s.Fast(dx, dy); in || !ok && s.Within(dx, dy) {
 			idx = append(idx, j)
 		}
 	}
