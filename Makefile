@@ -53,10 +53,11 @@ bench-json:
 bench-step:
 	$(GO) run ./cmd/waggle-bench -step -out BENCH_step.json
 
-# Checkpoint codec run: save/restore latency and bytes for the JSON v1
-# envelope, the binary v2 wire format, and base + delta-frame chains, at
-# n up to 1,000,000. Writes BENCH_ckpt.json (schema waggle-bench-ckpt/v1;
-# the checkpoint table in EXPERIMENTS.md).
+# Checkpoint codec run: save/restore latency and bytes for binary v2
+# full snapshots and base + delta-frame chains, at n up to 1,000,000.
+# Writes BENCH_ckpt.json (schema waggle-bench-ckpt/v1; the checkpoint
+# table in EXPERIMENTS.md). The committed file's json rows predate the
+# removal of the v1 writer, so a rerun drops them.
 bench-ckpt:
 	$(GO) run ./cmd/waggle-bench -ckpt -out BENCH_ckpt.json
 
@@ -83,13 +84,18 @@ chaos-check:
 	$(GO) run ./cmd/waggle-chaos -scenario radio-outage
 	$(GO) run ./cmd/waggle-chaos -scenario combined -engine parallel
 
-# Record-replay gate: the committed golden checkpoint must restore,
-# replay, and reproduce the committed movement trace byte-for-byte, and
-# every chaos scenario must survive a mid-plan kill-and-resume.
-# Regenerate the artifacts (only for intentional protocol changes) with
-# `go test -run TestGoldenReplay -update-golden .`.
+# Record-replay gate: the committed golden checkpoints (the frozen v1
+# fixture golden.ckpt and its v2 twin golden.ckptb) must restore,
+# replay, and reproduce the committed movement trace byte-for-byte;
+# every format the loaders read (v1, v2 base, v2 chain) must decode,
+# through the codec equivalence test and the seeds of the reader fuzz
+# target; and every chaos scenario must survive a mid-plan
+# kill-and-resume. Regenerate the v2, trace and stream artifacts (only
+# for intentional protocol changes) with
+# `go test -run TestGoldenReplay -update-golden .`; nothing rewrites
+# golden.ckpt (DESIGN.md §5g says what such a change does with it).
 replay-check:
-	$(GO) test -run TestGoldenReplay -count=1 .
+	$(GO) test -run 'TestGoldenReplay|TestCheckpointCodecEquivalence|FuzzReadCheckpoint' -count=1 .
 	$(GO) run ./cmd/waggle-chaos -resume-check -scenario combined
 	$(GO) run ./cmd/waggle-chaos -resume-check -scenario combined -ckpt-codec delta
 

@@ -16,10 +16,12 @@ import (
 	"waggle/internal/wire"
 )
 
-// Checkpoint is a versioned (schema "waggle-ckpt/v1"), resumable image
-// of a run: the swarm's construction recipe, the ordered log of every
-// state-mutating API call since construction, and a schema-stable
-// snapshot of the externally observable state at capture time.
+// Checkpoint is a resumable image of a run: the swarm's construction
+// recipe, the ordered log of every state-mutating API call since
+// construction, and a schema-stable snapshot of the externally
+// observable state at capture time. Waggle saves it in the binary
+// "waggle-ckpt/v2" format; the JSON "waggle-ckpt/v1" files of older
+// builds still load but are no longer written.
 //
 // Restore rebuilds the swarm from the recipe and replays the log — the
 // execution is deterministic, so the replay reproduces every private
@@ -52,30 +54,10 @@ var (
 )
 
 // SaveCheckpoint writes ck to path atomically (temp file + fsync +
-// rename + directory fsync), in the versioned, CRC32-checksummed
-// format of the chosen codec: the JSON envelope by default, the
-// compact binary format with CodecBinary. CodecDelta is meaningful
-// only for a periodic writer (Swarm.NewCheckpointWriter); for a
-// single-shot save it degrades to a binary base snapshot.
-func SaveCheckpoint(path string, ck *Checkpoint, codec ...CheckpointCodec) error {
-	c := CodecJSON
-	switch len(codec) {
-	case 0:
-	case 1:
-		c = codec[0]
-	default:
-		return fmt.Errorf("waggle: SaveCheckpoint takes at most one codec, got %d", len(codec))
-	}
-	var data []byte
-	var err error
-	switch c {
-	case CodecJSON:
-		data, err = ckpt.Encode(ck)
-	case CodecBinary, CodecDelta:
-		data, err = wire.Encode(ck)
-	default:
-		return fmt.Errorf("waggle: unknown checkpoint codec %d", int(c))
-	}
+// rename + directory fsync) as one CRC32-checksummed "waggle-ckpt/v2"
+// base frame.
+func SaveCheckpoint(path string, ck *Checkpoint) error {
+	data, err := wire.Encode(ck)
 	if err != nil {
 		return err
 	}
@@ -83,9 +65,9 @@ func SaveCheckpoint(path string, ck *Checkpoint, codec ...CheckpointCodec) error
 }
 
 // LoadCheckpoint reads and validates the checkpoint at path,
-// auto-detecting the format (JSON envelope, binary, or binary
-// base+delta chain — chains are folded into one checkpoint). Failure
-// modes are typed: ErrCheckpointSchema, ErrCheckpointChecksum,
+// auto-detecting the format: a binary base, a binary base+delta chain
+// (folded into one checkpoint), or the read-only JSON v1 envelope.
+// Failure modes are typed: ErrCheckpointSchema, ErrCheckpointChecksum,
 // ErrCheckpointTruncated.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
@@ -99,9 +81,18 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// WriteCheckpoint writes ck to w (non-atomic; SaveCheckpoint is the
-// crash-safe file variant).
-func WriteCheckpoint(w io.Writer, ck *Checkpoint) error { return ckpt.Save(w, ck) }
+// WriteCheckpoint writes ck to w in the bytes SaveCheckpoint writes
+// (non-atomic; SaveCheckpoint is the crash-safe file variant).
+func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
+	data, err := wire.Encode(ck)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(data); err != nil {
+		return fmt.Errorf("waggle: write checkpoint: %w", err)
+	}
+	return nil
+}
 
 // ReadCheckpoint reads and validates a checkpoint from r, auto-detecting
 // the format like LoadCheckpoint.
@@ -114,7 +105,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 }
 
 // decodeCheckpoint picks the decoder by the data's leading magic: the
-// binary format announces itself, anything else is read as the JSON
+// binary format announces itself, anything else is read as a v1 JSON
 // envelope.
 func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if wire.Detect(data) {
@@ -461,7 +452,7 @@ func optionsFromCkpt(co ckpt.Options) options {
 }
 
 // captureState snapshots the externally observable state. Empty slices
-// are left nil throughout so a capture deep-equals its own JSON round
+// are left nil throughout so a capture deep-equals its own decode round
 // trip (the restore verification compares a fresh capture against the
 // decoded stored one).
 func (s *Swarm) captureState() (ckpt.State, error) {

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -391,4 +395,97 @@ func TestCheckpointRecheckpoint(t *testing.T) {
 	if res2.Swarm.Time() != res.Swarm.Time() {
 		t.Fatalf("re-restore at t=%d, want %d", res2.Swarm.Time(), res.Swarm.Time())
 	}
+}
+
+// TestCheckpointInfiniteSigma: +Inf is a valid sigma, and every save
+// path writes it — SaveCheckpoint, WriteCheckpoint and the writer's
+// default codec. (The JSON v1 format has no ±Inf, so while it was the
+// default none of them could.) Each restores to the live state.
+func TestCheckpointInfiniteSigma(t *testing.T) {
+	s, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(EngineSequential), WithSigma(math.Inf(1)))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	writerPath := filepath.Join(dir, "writer.wck")
+	cw, err := s.NewCheckpointWriter(writerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckptPhase1(t, s)
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	savePath := filepath.Join(dir, "save.wck")
+	if err := SaveCheckpoint(savePath, ck); err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
+	}
+	var written bytes.Buffer
+	if err := WriteCheckpoint(&written, ck); err != nil {
+		t.Fatalf("WriteCheckpoint: %v", err)
+	}
+	if err := cw.Save(); err != nil {
+		t.Fatalf("writer save: %v", err)
+	}
+	want := fingerprint(t, s)
+	loads := map[string]func() (*Checkpoint, error){
+		"SaveCheckpoint":  func() (*Checkpoint, error) { return LoadCheckpoint(savePath) },
+		"WriteCheckpoint": func() (*Checkpoint, error) { return ReadCheckpoint(&written) },
+		"writer":          func() (*Checkpoint, error) { return LoadCheckpoint(writerPath) },
+	}
+	for name, load := range loads {
+		got, err := load()
+		if err != nil {
+			t.Fatalf("%s: load: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, ck) {
+			t.Errorf("%s: loaded checkpoint differs from the captured one", name)
+		}
+		res, err := Restore(got)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", name, err)
+		}
+		if fp := fingerprint(t, res.Swarm); !reflect.DeepEqual(fp, want) {
+			t.Errorf("%s: restored swarm differs from the live one (t=%d vs %d)", name, fp.Time, want.Time)
+		}
+	}
+}
+
+// TestLoadCheckpointMissing: a missing file is an error, not an empty
+// checkpoint.
+func TestLoadCheckpointMissing(t *testing.T) {
+	if ck, err := LoadCheckpoint(filepath.Join(t.TempDir(), "nope.wck")); err == nil || ck != nil {
+		t.Fatalf("loading a missing file: got %v, %v", ck, err)
+	}
+}
+
+// FuzzReadCheckpoint hammers the facade's format-sniffing decoder, the
+// only reader of the v1 JSON format (which nothing writes any more) as
+// well as of v2 snapshots and chains. The contract: no panic; every
+// failure is ErrCheckpointSchema, ErrCheckpointChecksum or
+// ErrCheckpointTruncated; and any checkpoint it returns encodes again
+// through WriteCheckpoint.
+func FuzzReadCheckpoint(f *testing.F) {
+	for _, path := range []string{goldenCkptPath, goldenCkptBinPath, goldenChainPath} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, cut := range []int{len(data), len(data) - 1, len(data) / 2, 4} {
+			f.Add(data[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrCheckpointSchema) && !errors.Is(err, ErrCheckpointChecksum) && !errors.Is(err, ErrCheckpointTruncated) {
+				t.Fatalf("untyped read error: %v", err)
+			}
+			return
+		}
+		if err := WriteCheckpoint(io.Discard, ck); err != nil {
+			t.Fatalf("read checkpoint does not write back: %v", err)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package waggle
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -10,29 +11,25 @@ import (
 	"waggle/internal/wire"
 )
 
-// CheckpointCodec selects how checkpoints are serialized. The zero
-// value is the JSON envelope, so existing callers are unchanged.
+// CheckpointCodec selects how a CheckpointWriter saves. Both codecs
+// write the binary "waggle-ckpt/v2" format, the only one waggle writes;
+// the JSON "waggle-ckpt/v1" files of older builds still load, but
+// nothing writes them any more.
 type CheckpointCodec int
 
 const (
-	// CodecJSON is the human-readable "waggle-ckpt/v1" envelope — the
-	// debugging and backward-compatibility format.
-	CodecJSON CheckpointCodec = iota
-	// CodecBinary is the compact "waggle-ckpt/v2" binary format: full
-	// snapshots an order of magnitude smaller than JSON.
-	CodecBinary
-	// CodecDelta is binary plus delta chains: a periodic writer appends
-	// per-interval deltas (only the robots whose state changed) to a
-	// binary base snapshot, rebasing when the chain grows long or the
-	// world churns. Single-shot saves degrade to CodecBinary.
+	// CodecBinary rewrites the whole file with a full snapshot on every
+	// save.
+	CodecBinary CheckpointCodec = iota + 1
+	// CodecDelta appends per-interval deltas (only the robots whose
+	// state changed) to a base snapshot, rebasing when the chain grows
+	// long or the world churns. It is the writer's default.
 	CodecDelta
 )
 
-// String returns the codec's CLI name ("json", "binary", "delta").
+// String returns the codec's CLI name ("binary", "delta").
 func (c CheckpointCodec) String() string {
 	switch c {
-	case CodecJSON:
-		return "json"
 	case CodecBinary:
 		return "binary"
 	case CodecDelta:
@@ -41,17 +38,18 @@ func (c CheckpointCodec) String() string {
 	return fmt.Sprintf("CheckpointCodec(%d)", int(c))
 }
 
-// ParseCheckpointCodec maps a CLI name to its codec.
+// ParseCheckpointCodec maps a CLI name to its codec; "" is the
+// default, CodecDelta. "json" names the read-only v1 format and fails.
 func ParseCheckpointCodec(name string) (CheckpointCodec, error) {
 	switch name {
-	case "", "json":
-		return CodecJSON, nil
 	case "binary":
 		return CodecBinary, nil
-	case "delta":
+	case "", "delta":
 		return CodecDelta, nil
+	case "json":
+		return 0, errors.New("waggle: checkpoint codec \"json\": the JSON v1 format is read-only (v1 files still load; saves are binary or delta)")
 	}
-	return 0, fmt.Errorf("waggle: unknown checkpoint codec %q (want json, binary, or delta)", name)
+	return 0, fmt.Errorf("waggle: unknown checkpoint codec %q (want binary or delta)", name)
 }
 
 // Rebase thresholds for CodecDelta: a new base snapshot is written when
@@ -73,17 +71,16 @@ const (
 const endpointSweepMax = 4096
 
 // CheckpointWriter saves a swarm's state to one path repeatedly, as a
-// simulation driver's periodic checkpointer. For CodecJSON and
-// CodecBinary every Save atomically rewrites the file with a full
-// snapshot. For CodecDelta the first Save writes a binary base snapshot
-// and subsequent Saves append a delta frame recording only what changed
-// since the previous Save — at large n with sparse activation that is
-// microseconds and a few hundred bytes instead of an O(n) rewrite —
-// rebasing automatically per the thresholds above and after any failed
-// append. The file is readable by LoadCheckpoint at every moment: after
-// a base, after any delta, and (thanks to the append being a single
-// write and torn trailing frames being dropped on load) even after a
-// crash mid-append.
+// simulation driver's periodic checkpointer. For CodecBinary every Save
+// atomically rewrites the file with a full snapshot. For CodecDelta the
+// first Save writes a base snapshot and subsequent Saves append a delta
+// frame recording only what changed since the previous Save — at large
+// n with sparse activation that is microseconds and a few hundred bytes
+// instead of an O(n) rewrite — rebasing automatically per the
+// thresholds above and after any failed append. The file is readable by
+// LoadCheckpoint at every moment: after a base, after any delta, and
+// (thanks to the append being a single write and torn trailing frames
+// being dropped on load) even after a crash mid-append.
 type CheckpointWriter struct {
 	s     *Swarm
 	path  string
@@ -104,12 +101,11 @@ type CheckpointWriter struct {
 }
 
 // NewCheckpointWriter returns a periodic checkpointer for the swarm,
-// writing to path. With no explicit codec it uses the swarm's
-// WithCheckpointCodec preference (default CodecJSON). CodecDelta
-// enables position-touch tracking on the world, so the writer should be
-// created before the run it will checkpoint.
+// writing to path with the given codec, CodecDelta when none is given.
+// CodecDelta enables position-touch tracking on the world, so the
+// writer should be created before the run it will checkpoint.
 func (s *Swarm) NewCheckpointWriter(path string, codec ...CheckpointCodec) (*CheckpointWriter, error) {
-	c := s.opts.ckptCodec
+	c := CodecDelta
 	switch len(codec) {
 	case 0:
 	case 1:
@@ -118,7 +114,7 @@ func (s *Swarm) NewCheckpointWriter(path string, codec ...CheckpointCodec) (*Che
 		return nil, fmt.Errorf("waggle: NewCheckpointWriter takes at most one codec, got %d", len(codec))
 	}
 	switch c {
-	case CodecJSON, CodecBinary, CodecDelta:
+	case CodecBinary, CodecDelta:
 	default:
 		return nil, fmt.Errorf("waggle: unknown checkpoint codec %d", int(c))
 	}
@@ -137,7 +133,7 @@ func (cw *CheckpointWriter) Codec() CheckpointCodec { return cw.codec }
 func (cw *CheckpointWriter) Path() string { return cw.path }
 
 // ChainLen returns how many delta frames follow the current base (0
-// right after a base save, and always 0 for non-delta codecs).
+// right after a base save, and always 0 for CodecBinary).
 func (cw *CheckpointWriter) ChainLen() int { return cw.chainLen }
 
 // LastSaveBytes returns how many bytes the most recent Save wrote: the
@@ -150,19 +146,7 @@ func (cw *CheckpointWriter) LastSaveWasDelta() bool { return cw.lastDelta }
 
 // Save checkpoints the swarm's current state to the writer's path.
 func (cw *CheckpointWriter) Save() error {
-	if cw.codec != CodecDelta {
-		ck, err := cw.s.Checkpoint()
-		if err != nil {
-			return err
-		}
-		if err := SaveCheckpoint(cw.path, ck, cw.codec); err != nil {
-			return err
-		}
-		cw.lastBytes = cw.fileSize()
-		cw.lastDelta = false
-		return nil
-	}
-	if cw.mirror == nil || cw.configDrifted() {
+	if cw.codec != CodecDelta || cw.mirror == nil || cw.configDrifted() {
 		return cw.saveBase()
 	}
 	d, err := cw.captureDelta()
@@ -196,8 +180,8 @@ func (cw *CheckpointWriter) Save() error {
 	return nil
 }
 
-// saveBase writes a fresh binary base snapshot atomically and resets
-// the chain.
+// saveBase writes a fresh base snapshot atomically — every CodecBinary
+// save, and a CodecDelta (re)base — and resets the chain.
 func (cw *CheckpointWriter) saveBase() error {
 	ck, err := cw.s.Checkpoint()
 	if err != nil {
@@ -210,7 +194,11 @@ func (cw *CheckpointWriter) saveBase() error {
 	if err := ckpt.WriteFileAtomic(cw.path, frame); err != nil {
 		return err
 	}
-	cw.mirror = ck
+	if cw.codec == CodecDelta {
+		// Only a chain diffs against the saved image; a full-snapshot
+		// writer keeps none alive between saves.
+		cw.mirror = ck
+	}
 	cw.prevCRC = crc
 	cw.chainLen = 0
 	cw.noteSaved(len(frame), false)
@@ -362,16 +350,6 @@ func (cw *CheckpointWriter) captureDelta() (*wire.Delta, error) {
 		return nil, err
 	}
 	return d, nil
-}
-
-// fileSize returns the current size of the writer's file (0 on error;
-// informational only).
-func (cw *CheckpointWriter) fileSize() int {
-	fi, err := os.Stat(cw.path)
-	if err != nil {
-		return 0
-	}
-	return int(fi.Size())
 }
 
 // appendDurably appends one frame to the file with a single write and

@@ -58,7 +58,7 @@ func main() {
 	flag.StringVar(&cfg.listen, "listen", "", "serve the observability endpoint (/metrics, /trace, pprof) on this address")
 	flag.BoolVar(&cfg.resumeCheck, "resume-check", false, "kill each scenario mid-plan, checkpoint, resume, and verify byte-identical traces; exit nonzero on divergence")
 	flag.IntVar(&cfg.killAt, "kill-at", 150, "instant of the simulated process death for -resume-check")
-	flag.StringVar(&cfg.ckptCodec, "ckpt-codec", "binary", "checkpoint serialization for -resume-check: json|binary|delta")
+	flag.StringVar(&cfg.ckptCodec, "ckpt-codec", "binary", "checkpoint serialization for -resume-check: binary|delta")
 	flag.Parse()
 	cfg.block = cfg.listen != ""
 	if err := run(cfg); err != nil {

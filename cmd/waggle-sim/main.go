@@ -77,7 +77,7 @@ func main() {
 	flag.BoolVar(&cfg.obsCheck, "obs-check", false, "run a short instrumented sim, validate the metrics pipeline, and exit")
 	flag.StringVar(&cfg.ckptPath, "checkpoint", "", "write checkpoints to this file (atomic; see -checkpoint-every)")
 	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 0, "while waiting for delivery, save a checkpoint every N instants (requires -checkpoint)")
-	flag.StringVar(&cfg.ckptCodec, "ckpt-codec", "delta", "checkpoint serialization: json (debuggable v1 envelope), binary (compact v2), delta (binary base + per-save delta frames)")
+	flag.StringVar(&cfg.ckptCodec, "ckpt-codec", "delta", "checkpoint serialization: binary (full snapshot per save) or delta (base + per-save delta frames); -resume also reads JSON v1 files, which are no longer written")
 	flag.StringVar(&cfg.resume, "resume", "", "resume a run from this checkpoint file instead of starting fresh")
 	flag.StringVar(&cfg.stream, "stream", "", "record a waggle-stream/v1 movement stream (appendable, spectatable, crash-tolerant) to this file")
 	flag.StringVar(&cfg.replayStream, "replay-stream", "", "replay and verify a waggle-stream/v1 file instead of running, printing its digests")

@@ -23,17 +23,21 @@
 //     resuming a different run.
 //
 // The facade (package waggle) owns capture and replay; this package
-// owns the schema, the input recorder, and the codec.
+// owns the schema, the input recorder, the atomic file write, and the
+// decoder of the original JSON format (waggle-ckpt/v1). That format is
+// read-only: every checkpoint waggle writes is binary waggle-ckpt/v2
+// (internal/wire), and v1 files written by older builds still load.
 package ckpt
 
 import "sync"
 
-// Schema is the version tag of the checkpoint format. Decoding rejects
-// every other value, so an incompatible future format fails loudly.
+// Schema is the version tag of the read-only JSON checkpoint format.
+// Decode rejects every other value, so a file of another version fails
+// loudly instead of misparsing.
 const Schema = "waggle-ckpt/v1"
 
-// Checkpoint is the complete resumable image of a run. The codec wraps
-// it in a checksummed envelope carrying Schema.
+// Checkpoint is the complete resumable image of a run, independent of
+// the format that carries it; the JSON tags are the v1 field names.
 type Checkpoint struct {
 	Config Config  `json:"config"`
 	Inputs []Input `json:"inputs,omitempty"`

@@ -2,59 +2,49 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
 
-func sampleCheckpoint() *Checkpoint {
-	return &Checkpoint{
-		Config: Config{
-			Positions: []XY{{0, 0}, {10, 0}, {0, 10}},
-			Options:   Options{Seed: 42, Trace: true, Sigma: 1.5},
-			Radio:     &RadioConfig{N: 3, Seed: 99},
-			Messenger: true,
-			Observer:  &ObserverConfig{TraceCapacity: 8192},
-		},
-		Inputs: []Input{
-			{Op: OpSend, From: 0, To: 1, Payload: []byte("HI")},
-			{T: 3, Op: OpStep, Reps: 12},
-			{T: 15, Op: OpRunDelivered, Count: 1, Max: 500},
-		},
-		State: State{
-			Time:           27,
-			Positions:      []XY{{0.5, 0}, {10, 0.25}, {0, 10}},
-			Consumed:       1,
-			SchedulerDraws: 81,
-			Radio:          &RadioState{Seed: 99, Draws: 4, JamProb: 0.25},
-			TraceDigest:    Digest([]byte("trace")),
-		},
+// goldenV1 returns the committed v1 checkpoint. Nothing writes v1 any
+// more, so this frozen file is the input of every decode test here.
+func goldenV1(t *testing.T) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden.ckpt"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return data
 }
 
+// TestCodecRoundTrip: decoding the committed v1 file loses nothing —
+// the decoded checkpoint marshals back to exactly the body bytes the
+// envelope checksums.
 func TestCodecRoundTrip(t *testing.T) {
-	ck := sampleCheckpoint()
-	data, err := Encode(ck)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := Decode(data)
+	data := goldenV1(t)
+	ck, err := Decode(data)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !reflect.DeepEqual(got, ck) {
-		t.Fatalf("round trip mutated the checkpoint:\n got %+v\nwant %+v", got, ck)
+	var env envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, env.Body) {
+		t.Fatalf("decode round trip mutated the checkpoint:\n got %s\nwant %s", body, env.Body)
 	}
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	data, err := Encode(sampleCheckpoint())
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	data := goldenV1(t)
 	for _, cut := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		if _, err := Decode(data[:cut]); !errors.Is(err, ErrTruncated) {
 			t.Errorf("Decode(first %d bytes): got %v, want ErrTruncated", cut, err)
@@ -63,10 +53,7 @@ func TestDecodeTruncated(t *testing.T) {
 }
 
 func TestDecodeCorrupted(t *testing.T) {
-	data, err := Encode(sampleCheckpoint())
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	data := goldenV1(t)
 	// Flip one letter inside the body — a key-name character, so the
 	// envelope still parses as JSON and carries the right schema; only
 	// the checksum can catch this.
@@ -82,58 +69,39 @@ func TestDecodeCorrupted(t *testing.T) {
 }
 
 func TestDecodeSchemaMismatch(t *testing.T) {
-	data, err := Encode(sampleCheckpoint())
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	wrong := bytes.Replace(data, []byte(Schema), []byte("waggle-ckpt/v0"), 1)
-	if _, err := Decode(wrong); !errors.Is(err, ErrSchema) {
+	wrong := bytes.Replace(goldenV1(t), []byte(Schema), []byte("waggle-ckpt/v0"), 1)
+	_, err := Decode(wrong)
+	if !errors.Is(err, ErrSchema) {
 		t.Fatalf("wrong schema: got %v, want ErrSchema", err)
 	}
-	if err != nil && !strings.Contains(err.Error(), "v0") {
+	if !strings.Contains(err.Error(), "v0") {
 		t.Fatalf("schema error should name the offending version: %v", err)
 	}
 }
 
-func TestSaveFileAtomicAndLoadFile(t *testing.T) {
+func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	ck := sampleCheckpoint()
-	if err := SaveFile(path, ck); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	// SaveFile must not leave its temp file behind.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("readdir: %v", err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "run.ckpt" {
-		t.Fatalf("directory holds %v, want only run.ckpt", entries)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if !reflect.DeepEqual(got, ck) {
-		t.Fatalf("file round trip mutated the checkpoint")
-	}
-	// Overwrite must be atomic too: the second save replaces the first.
-	ck.State.Time = 99
-	if err := SaveFile(path, ck); err != nil {
-		t.Fatalf("second save: %v", err)
-	}
-	got, err = LoadFile(path)
-	if err != nil {
-		t.Fatalf("second load: %v", err)
-	}
-	if got.State.Time != 99 {
-		t.Fatalf("overwrite not visible: time %d, want 99", got.State.Time)
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
-		t.Fatal("loading a missing file succeeded")
+	for _, data := range [][]byte{[]byte("first save"), []byte("second")} {
+		if err := WriteFileAtomic(path, data); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		// The temp file must not be left behind.
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatalf("readdir: %v", err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "run.ckpt" {
+			t.Fatalf("directory holds %v, want only run.ckpt", entries)
+		}
+		// An overwrite replaces the previous contents whole.
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("file holds %q, want %q", got, data)
+		}
 	}
 }
 

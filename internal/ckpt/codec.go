@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -25,35 +24,20 @@ var (
 	ErrTruncated = errors.New("ckpt: truncated or malformed checkpoint")
 )
 
-// envelope is the on-disk frame: the schema tag, an IEEE CRC32 over the
-// raw body bytes, and the body itself. The CRC is computed over the
-// exact serialized body, so any post-write corruption — inside the body
-// or from truncation that happens to keep the JSON well-formed — is
-// caught before the body is even parsed.
+// envelope is the v1 on-disk frame: the schema tag, an IEEE CRC32 over
+// the raw body bytes, and the body itself. The CRC covers the exact
+// serialized body, so any post-write corruption — inside the body or
+// from truncation that happens to keep the JSON well-formed — is caught
+// before the body is even parsed. v1 is read-only: waggle writes
+// checkpoints only in the binary v2 format (internal/wire), and this
+// package keeps the decoder so existing v1 files still load.
 type envelope struct {
 	Schema string          `json:"schema"`
 	CRC32  uint32          `json:"crc32"`
 	Body   json.RawMessage `json:"body"`
 }
 
-// Encode serializes a checkpoint into the versioned, checksummed wire
-// form.
-func Encode(ck *Checkpoint) ([]byte, error) {
-	if ck == nil {
-		return nil, errors.New("ckpt: nil checkpoint")
-	}
-	body, err := json.Marshal(ck)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: encode body: %w", err)
-	}
-	data, err := json.Marshal(envelope{Schema: Schema, CRC32: crc32.ChecksumIEEE(body), Body: body})
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: encode envelope: %w", err)
-	}
-	return data, nil
-}
-
-// Decode parses and validates the JSON envelope. The checks run in
+// Decode parses and validates a v1 JSON envelope. The checks run in
 // order — shape, schema version, body checksum, body shape — so the
 // error names the outermost failure.
 func Decode(data []byte) (*Checkpoint, error) {
@@ -72,30 +56,6 @@ func Decode(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: body: %v", ErrTruncated, err)
 	}
 	return &ck, nil
-}
-
-// Save writes the encoded checkpoint to w.
-func Save(w io.Writer, ck *Checkpoint) error {
-	data, err := Encode(ck)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("ckpt: write: %w", err)
-	}
-	return nil
-}
-
-// SaveFile writes the checkpoint's JSON envelope atomically. A crash
-// mid-save leaves either the previous checkpoint or none — never a
-// torn file that Decode would then reject at the worst possible
-// moment.
-func SaveFile(path string, ck *Checkpoint) error {
-	data, err := Encode(ck)
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, data)
 }
 
 // WriteFileAtomic writes data to path via a same-directory temp file:
@@ -149,17 +109,4 @@ func syncDir(dir string) error {
 		return fmt.Errorf("ckpt: sync dir %s: %w", dir, err)
 	}
 	return nil
-}
-
-// LoadFile reads and decodes the checkpoint at path.
-func LoadFile(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: read %s: %w", path, err)
-	}
-	ck, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return ck, nil
 }

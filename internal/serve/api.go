@@ -21,7 +21,8 @@ import (
 // small; anything bigger is hostile.
 const maxBodyBytes = 1 << 20
 
-// observePollEvery is the re-check period of a long-poll observe.
+// observePollEvery is the re-check period of the long-polls: observe,
+// spectate and its SSE variant (pollWait).
 const observePollEvery = 25 * time.Millisecond
 
 // CreateRequest is the POST /v1/sessions body. Positions is required
@@ -352,7 +353,15 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	q := r.URL.Query()
 	withDigest := q.Get("digest") != "" && q.Get("digest") != "0"
-	minDelivered, _ := strconv.Atoi(q.Get("min_delivered"))
+	minDelivered := 0
+	if v := q.Get("min_delivered"); v != "" {
+		m, err := strconv.Atoi(v)
+		if err != nil || m < 0 {
+			writeJSON(w, http.StatusBadRequest, errResponse{"min_delivered: want a non-negative integer"})
+			return
+		}
+		minDelivered = m
+	}
 	var wait time.Duration
 	if v := q.Get("wait"); v != "" {
 		d, err := time.ParseDuration(v)
@@ -393,15 +402,27 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, resp)
 			return
 		}
-		sleep := observePollEvery
-		if rem := time.Until(pollDeadline); rem < sleep {
-			sleep = rem
-		}
-		select {
-		case <-r.Context().Done():
+		if !pollWait(r.Context(), pollDeadline) {
 			return
-		case <-time.After(sleep):
 		}
+	}
+}
+
+// pollWait sleeps until the next re-check of a long-poll — one poll
+// period, or less when the request's single deadline comes sooner — and
+// reports false if the client went away first.
+func pollWait(ctx context.Context, deadline time.Time) bool {
+	sleep := observePollEvery
+	if rem := time.Until(deadline); rem < sleep {
+		sleep = rem
+	}
+	t := time.NewTimer(sleep)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
 	}
 }
 
@@ -617,14 +638,8 @@ func (s *Server) handleSpectate(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, resp)
 			return
 		}
-		sleep := observePollEvery
-		if rem := time.Until(pollDeadline); rem < sleep {
-			sleep = rem
-		}
-		select {
-		case <-r.Context().Done():
+		if !pollWait(r.Context(), pollDeadline) {
 			return
-		case <-time.After(sleep):
 		}
 	}
 }
@@ -668,14 +683,8 @@ func (s *Server) spectateSSE(w http.ResponseWriter, r *http.Request, sess *sessi
 			fl.Flush()
 			return
 		}
-		sleep := observePollEvery
-		if rem := time.Until(pollDeadline); rem < sleep {
-			sleep = rem
-		}
-		select {
-		case <-r.Context().Done():
+		if !pollWait(r.Context(), pollDeadline) {
 			return
-		case <-time.After(sleep):
 		}
 	}
 }

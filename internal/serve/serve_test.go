@@ -443,6 +443,7 @@ func TestValidation(t *testing.T) {
 		{Positions: [][2]float64{{0, 0}, {1, 0}}, Engine: "warp"},
 		{Positions: [][2]float64{{0, 0}, {1, 0}}, Scheduler: "starver"},
 		{Positions: [][2]float64{{0, 0}, {1, 0}}, Sigma: -1},
+		{Positions: [][2]float64{{0, 0}, {1, 0}}, ActivationProb: 1.5},
 	}
 	for i, c := range cases {
 		if status, _ := do(t, "POST", ts.URL+"/v1/sessions", c, nil); status != http.StatusBadRequest {

@@ -279,6 +279,12 @@ func TestObserveWaitBoundary(t *testing.T) {
 	if len(o.Delivered) != 0 {
 		t.Fatalf("unexpected deliveries: %+v", o.Delivered)
 	}
+
+	// A malformed count is a bad request, not a count of zero that
+	// answers at once.
+	if status, _ := do(t, "GET", sessURL+"/observe?min_delivered=abc&wait=10s", nil, nil); status != http.StatusBadRequest {
+		t.Fatalf("min_delivered=abc: status %d, want 400", status)
+	}
 }
 
 // TestRetryAfterComputed pins that every shed path derives Retry-After

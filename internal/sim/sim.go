@@ -246,7 +246,8 @@ var (
 	// ErrCoincidentRobots is returned when two robots start at the same
 	// point, which the model forbids.
 	ErrCoincidentRobots = errors.New("sim: coincident initial positions")
-	// ErrBadSigma is returned when a robot has a non-positive sigma.
+	// ErrBadSigma is returned when a robot's sigma is not positive
+	// (NaN included).
 	ErrBadSigma = errors.New("sim: sigma must be positive")
 	// ErrEmptyActivation is returned when a scheduler activates nobody,
 	// violating the model ("at least one robot is active at each
@@ -267,7 +268,7 @@ func NewWorld(cfg Config) (*World, error) {
 		if cfg.Robots[i] == nil || cfg.Robots[i].Behavior == nil {
 			return nil, fmt.Errorf("sim: robot %d has no behavior", i)
 		}
-		if cfg.Robots[i].Sigma <= 0 {
+		if !(cfg.Robots[i].Sigma > 0) { // NaN fails every comparison
 			return nil, fmt.Errorf("robot %d: %w", i, ErrBadSigma)
 		}
 	}

@@ -62,6 +62,12 @@ func TestNewWorldErrors(t *testing.T) {
 	}
 	if _, err := NewWorld(Config{
 		Positions: []geom.Point{geom.Pt(0, 0)},
+		Robots:    []*Robot{{Sigma: math.NaN(), Behavior: stay()}},
+	}); !errors.Is(err, ErrBadSigma) {
+		t.Errorf("NaN sigma: err = %v, want ErrBadSigma", err)
+	}
+	if _, err := NewWorld(Config{
+		Positions: []geom.Point{geom.Pt(0, 0)},
 		Robots:    []*Robot{{Sigma: 1}},
 	}); err == nil {
 		t.Error("nil behavior should be rejected")

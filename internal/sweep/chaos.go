@@ -553,62 +553,17 @@ func runChaos(sc ChaosScenario, engine waggle.EngineMode, trace bool, obsv *wagg
 	return r.result()
 }
 
-// RunChaosScenarioResumed executes a scenario with a simulated process
-// death at instant killAt: the whole stack (swarm, radio, messenger) is
-// checkpointed, serialized through the wire format, discarded, restored
-// from the bytes, and the run continues on the restored stack. The
-// result — including the byte-identical movement trace — must equal
-// RunChaosScenario's; the chaos determinism tests and waggle-chaos
-// -resume-check enforce exactly that.
-func RunChaosScenarioResumed(sc ChaosScenario, engine waggle.EngineMode, killAt int) (*ChaosResult, error) {
-	if killAt < 0 || killAt > sc.Budget {
-		return nil, fmt.Errorf("chaos %s: kill instant %d outside run budget %d", sc.Name, killAt, sc.Budget)
-	}
-	r, err := newChaosRun(sc, engine, true, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.drive(0, killAt); err != nil {
-		return nil, err
-	}
-	if !r.done {
-		ck, err := r.s.Checkpoint()
-		if err != nil {
-			return nil, r.fail(err)
-		}
-		var wire bytes.Buffer
-		if err := waggle.WriteCheckpoint(&wire, ck); err != nil {
-			return nil, r.fail(err)
-		}
-		loaded, err := waggle.ReadCheckpoint(&wire)
-		if err != nil {
-			return nil, r.fail(err)
-		}
-		res, err := waggle.Restore(loaded, waggle.RestoreWithEngine(engine))
-		if err != nil {
-			return nil, r.fail(err)
-		}
-		r.s, r.radio, r.bm = res.Swarm, res.Radio, res.Messenger
-	}
-	if err := r.drive(killAt, sc.Budget); err != nil {
-		return nil, err
-	}
-	return r.result()
-}
-
-// RunChaosScenarioResumedCodec is RunChaosScenarioResumed parameterized
-// by checkpoint serialization. CodecJSON round-trips the checkpoint
-// through the in-memory v1 envelope (identical to
-// RunChaosScenarioResumed); CodecBinary saves and reloads a v2 binary
-// file; CodecDelta drives the run to killAt in chunks with a periodic
-// CheckpointWriter — so the file restored from is a real base +
-// delta-frame chain, folded by the loader — before the stack is
-// discarded and rebuilt. Whatever the format, the continuation must be
-// byte-identical to the uninterrupted run.
+// RunChaosScenarioResumedCodec executes a scenario with a simulated
+// process death at instant killAt: the whole stack (swarm, radio,
+// messenger) is checkpointed to a file, discarded, restored from the
+// file, and the run continues on the restored stack. CodecBinary saves
+// one full snapshot at killAt; CodecDelta drives the run to killAt in
+// chunks with a periodic CheckpointWriter, so the file restored from is
+// a real base + delta-frame chain, folded by the loader. Whatever the
+// codec, the result — including the byte-identical movement trace —
+// must equal RunChaosScenario's; the chaos determinism tests and
+// waggle-chaos -resume-check enforce exactly that.
 func RunChaosScenarioResumedCodec(sc ChaosScenario, engine waggle.EngineMode, killAt int, codec waggle.CheckpointCodec) (*ChaosResult, error) {
-	if codec == waggle.CodecJSON {
-		return RunChaosScenarioResumed(sc, engine, killAt)
-	}
 	if killAt < 0 || killAt > sc.Budget {
 		return nil, fmt.Errorf("chaos %s: kill instant %d outside run budget %d", sc.Name, killAt, sc.Budget)
 	}
@@ -616,56 +571,40 @@ func RunChaosScenarioResumedCodec(sc ChaosScenario, engine waggle.EngineMode, ki
 	if err != nil {
 		return nil, err
 	}
-	tmp, err := os.CreateTemp("", "waggle-chaos-*.ckptb")
+	tmp, err := os.CreateTemp("", "waggle-chaos-*.wck")
 	if err != nil {
 		return nil, r.fail(err)
 	}
 	path := tmp.Name()
 	tmp.Close()
 	defer os.Remove(path)
+	cw, err := r.s.NewCheckpointWriter(path, codec)
+	if err != nil {
+		return nil, r.fail(err)
+	}
+	chunk := killAt
+	if codec == waggle.CodecDelta {
+		chunk = killAt / 4
+	}
+	if chunk < 1 {
+		chunk = 1
+	}
 	saved := false
-	switch codec {
-	case waggle.CodecBinary:
-		if err := r.drive(0, killAt); err != nil {
+	for t := 0; t < killAt && !r.done; {
+		next := t + chunk
+		if next > killAt {
+			next = killAt
+		}
+		if err := r.drive(t, next); err != nil {
 			return nil, err
 		}
+		t = next
 		if !r.done {
-			ck, err := r.s.Checkpoint()
-			if err != nil {
-				return nil, r.fail(err)
-			}
-			if err := waggle.SaveCheckpoint(path, ck, waggle.CodecBinary); err != nil {
+			if err := cw.Save(); err != nil {
 				return nil, r.fail(err)
 			}
 			saved = true
 		}
-	case waggle.CodecDelta:
-		cw, err := r.s.NewCheckpointWriter(path, waggle.CodecDelta)
-		if err != nil {
-			return nil, r.fail(err)
-		}
-		chunk := killAt / 4
-		if chunk < 1 {
-			chunk = 1
-		}
-		for t := 0; t < killAt && !r.done; {
-			next := t + chunk
-			if next > killAt {
-				next = killAt
-			}
-			if err := r.drive(t, next); err != nil {
-				return nil, err
-			}
-			t = next
-			if !r.done {
-				if err := cw.Save(); err != nil {
-					return nil, r.fail(err)
-				}
-				saved = true
-			}
-		}
-	default:
-		return nil, fmt.Errorf("chaos %s: unsupported checkpoint codec %v", sc.Name, codec)
 	}
 	if !r.done && saved {
 		loaded, err := waggle.LoadCheckpoint(path)

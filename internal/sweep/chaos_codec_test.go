@@ -9,18 +9,18 @@ import (
 
 // TestChaosResumedAllCodecs is the cross-codec determinism property:
 // for EVERY chaos scenario, under both engines, a run killed mid-plan
-// and restored from a checkpoint — serialized as the JSON v1 envelope,
-// as a v2 binary snapshot, or as a real base + delta-frame chain
-// written by the periodic CheckpointWriter — continues byte-identically
-// to the uninterrupted run. The restore path itself re-captures state
-// and requires deep equality, so a fold or codec bug fails the restore
-// rather than corrupting the continuation.
+// and restored from a checkpoint — saved as a v2 binary snapshot, or as
+// a real base + delta-frame chain written by the periodic
+// CheckpointWriter — continues byte-identically to the uninterrupted
+// run. The restore path itself re-captures state and requires deep
+// equality, so a fold or codec bug fails the restore rather than
+// corrupting the continuation.
 func TestChaosResumedAllCodecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario × engine × codec sweep")
 	}
 	engines := []waggle.EngineMode{waggle.EngineSequential, waggle.EngineParallel}
-	codecs := []waggle.CheckpointCodec{waggle.CodecJSON, waggle.CodecBinary, waggle.CodecDelta}
+	codecs := []waggle.CheckpointCodec{waggle.CodecBinary, waggle.CodecDelta}
 	for _, sc := range ChaosScenarios(1) {
 		for _, engine := range engines {
 			killAt := sc.Budget / 2

@@ -179,7 +179,7 @@ func TestChaosKillAndResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunChaosScenarioResumed(sc, engine, tc.killAt)
+			got, err := RunChaosScenarioResumedCodec(sc, engine, tc.killAt, waggle.CodecBinary)
 			if err != nil {
 				t.Fatalf("%s killAt=%d: %v", tc.scenario, tc.killAt, err)
 			}

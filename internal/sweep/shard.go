@@ -20,6 +20,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -93,22 +94,7 @@ func ResumeChaosShardRun(sc ChaosScenario, engine waggle.EngineMode, snap []byte
 		return nil, fmt.Errorf("chaos %s: shard snapshot ledger has %d/%d entries, want %d",
 			sc.Name, len(ss.SentAt), len(ss.DeliveredAt), len(sc.Sends))
 	}
-	// LoadCheckpoint wants a file (chain folding is format-sniffed on
-	// open); round-trip the bytes through a private temp file.
-	tmp, err := os.CreateTemp("", "waggle-shard-*.wck")
-	if err != nil {
-		return nil, fmt.Errorf("chaos %s: %w", sc.Name, err)
-	}
-	path := tmp.Name()
-	defer os.Remove(path)
-	if _, err := tmp.Write(ss.Stack); err != nil {
-		tmp.Close()
-		return nil, fmt.Errorf("chaos %s: %w", sc.Name, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, fmt.Errorf("chaos %s: %w", sc.Name, err)
-	}
-	ck, err := waggle.LoadCheckpoint(path)
+	ck, err := waggle.ReadCheckpoint(bytes.NewReader(ss.Stack))
 	if err != nil {
 		return nil, fmt.Errorf("chaos %s: shard snapshot stack: %w", sc.Name, err)
 	}

@@ -15,7 +15,7 @@ import (
 //
 // A torn trailing delta is the signature of a crash during an append:
 // the chain loads as of the last complete frame, matching the atomicity
-// the v1 rename-based save promises. A file without a complete base
+// the rename-based base save promises. A file without a complete base
 // frame is ErrTruncated.
 
 // EncodeBaseFrame serializes a checkpoint as one base frame and returns

@@ -1,8 +1,10 @@
-// Package wire is the compact binary checkpoint codec ("waggle-ckpt/v2")
-// and its delta-chain extension. It keeps the exact discipline of the
-// JSON v1 codec in internal/ckpt — versioned header, CRC32 over the
+// Package wire is the binary checkpoint codec ("waggle-ckpt/v2") and
+// its delta-chain extension — the only checkpoint format waggle writes.
+// It keeps the discipline of the original JSON v1 format, whose
+// decoder stays in internal/ckpt — versioned header, CRC32 over the
 // body, typed ErrSchema/ErrChecksum/ErrTruncated failures — while
-// encoding the same ckpt.Checkpoint an order of magnitude smaller:
+// encoding the same ckpt.Checkpoint several times smaller, and every
+// float64 exactly, ±Inf and NaN included:
 //
 //   - integers are varints (zig-zag for signed values), so the many
 //     near-zero counters of a large swarm cost one byte each;
@@ -18,9 +20,8 @@
 //
 // A v2 file is a base frame optionally followed by delta frames (see
 // chain.go and the frame layer in frame.go); Decode folds the chain
-// back into one Checkpoint. The JSON v1 format remains readable (the
-// facade picks the decoder with Detect) for backward compatibility and
-// debugging.
+// back into one Checkpoint. JSON v1 files written by older builds stay
+// readable: the facade picks the decoder with Detect.
 package wire
 
 import (
@@ -30,10 +31,6 @@ import (
 
 	"waggle/internal/ckpt"
 )
-
-// Schema is the version tag of the binary checkpoint format, reported
-// in errors alongside the v1 tag so a wrong-version file names both.
-const Schema = "waggle-ckpt/v2"
 
 // fixedShift is the fixed-point probe resolution: a configuration whose
 // coordinates are all integer multiples of 2^-fixedShift (and small
@@ -55,7 +52,7 @@ func Encode(ck *ckpt.Checkpoint) ([]byte, error) {
 // ErrTruncated (cut short or malformed). A truncated *trailing* delta
 // frame is the signature of a crash mid-append and is dropped: the
 // chain loads as of the last complete frame, exactly what the atomic
-// v1 semantics promise.
+// rename of a base save promises.
 func Decode(data []byte) (*ckpt.Checkpoint, error) {
 	return DecodeChain(data)
 }
@@ -90,7 +87,7 @@ func (w *writer) f64(v float64) {
 }
 
 // bytes is nil-aware: the header is len+1, with 0 meaning nil, so the
-// v1 nil-if-empty capture discipline survives the round trip and the
+// capture's nil-if-empty discipline survives the round trip and the
 // restore recapture check stays a plain reflect.DeepEqual.
 func (w *writer) bytes(b []byte) {
 	if b == nil {

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -175,10 +177,11 @@ func TestRoundTripFixedPoint(t *testing.T) {
 	}
 }
 
-// TestCompactness is the codec's reason to exist: the binary encoding
-// of a realistic checkpoint — random full-precision coordinates, state
-// positions mostly still at their configuration — must be well under
-// the JSON size.
+// TestCompactness pins what keeps a realistic snapshot small —
+// random full-precision coordinates, state positions mostly still at
+// their configuration: the state section is sparse, so a robot that
+// never moved costs nothing and a moved one costs one entry (an index
+// gap and two coordinate deltas, each at most one varint).
 func TestCompactness(t *testing.T) {
 	n := 2000
 	rng := rand.New(rand.NewSource(7))
@@ -194,19 +197,27 @@ func TestCompactness(t *testing.T) {
 		ck.Config.Positions[i] = p
 		ck.State.Positions[i] = p
 	}
+	size := func() int {
+		data, err := Encode(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(data)
+	}
+	still := size()
+	positions := ck.State.Positions
+	ck.State.Positions = nil
+	if none := size(); still != none {
+		t.Fatalf("%d unmoved robots cost %d bytes over a state without positions", n, still-none)
+	}
+	ck.State.Positions = positions
+	moved := 0
 	for i := 0; i < n; i += 37 { // the sparse minority that has moved
 		ck.State.Positions[i].X += 0.5
+		moved++
 	}
-	bin, err := Encode(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonData, err := ckpt.Encode(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if 4*len(bin) > len(jsonData) {
-		t.Fatalf("binary %d B is more than 25%% of JSON %d B", len(bin), len(jsonData))
+	if per := float64(size()-still) / float64(moved); per > 3*binary.MaxVarintLen64 {
+		t.Fatalf("a moved robot costs %.1f bytes, more than one sparse entry", per)
 	}
 }
 
@@ -462,22 +473,22 @@ func TestDiffIdle(t *testing.T) {
 	}
 }
 
-// TestDetect: Detect accepts the binary encoding and refuses the JSON
-// envelope, which is how the facade's loaders pick a decoder.
+// TestDetect: Detect accepts the binary encoding and refuses the
+// committed v1 JSON envelope, which is how the facade's loaders pick a
+// decoder.
 func TestDetect(t *testing.T) {
-	ck := fullCheckpoint()
-	bin, err := Encode(ck)
+	bin, err := Encode(fullCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Detect(bin) {
 		t.Fatal("Detect rejected its own encoding")
 	}
-	jsonData, err := ckpt.Encode(ck)
+	v1, err := os.ReadFile("../../testdata/golden.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Detect(jsonData) {
+	if Detect(v1) {
 		t.Fatal("Detect claimed a JSON envelope")
 	}
 }

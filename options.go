@@ -71,7 +71,6 @@ type options struct {
 	faultRadio       *Radio
 	observer         *Observer
 	restore          *Checkpoint
-	ckptCodec        CheckpointCodec
 	streamPath       string
 }
 
@@ -151,7 +150,8 @@ func WithSeed(seed int64) Option {
 }
 
 // WithSigma bounds every robot's per-activation movement to the given
-// world-space distance (the paper's σ_r).
+// world-space distance (the paper's σ_r). It must be positive; +Inf
+// lifts the bound.
 func WithSigma(sigma float64) Option {
 	return optionFunc(func(o *options) { o.sigma = sigma })
 }
@@ -182,9 +182,9 @@ func WithScheduler(kind SchedulerKind) Option {
 }
 
 // WithActivationProbability sets the per-robot activation probability
-// of the random fair scheduler (default 0.5). Lower values model
-// sparser, slower robots; fairness is still enforced by the scheduler's
-// lag bound. Only meaningful for asynchronous swarms.
+// of the random fair scheduler, in [0,1]; 0 keeps the default 0.5.
+// Lower values model sparser, slower robots; fairness is still enforced
+// by the scheduler's lag bound. Only meaningful for asynchronous swarms.
 func WithActivationProbability(p float64) Option {
 	return optionFunc(func(o *options) { o.activationProb = p })
 }
@@ -201,21 +201,12 @@ func WithRestore(ck *Checkpoint) Option {
 	return optionFunc(func(o *options) { o.restore = ck })
 }
 
-// WithCheckpointCodec selects the serialization format the swarm's
-// checkpoint writers default to (CodecJSON, CodecBinary, CodecDelta).
-// Like the engine mode this is a preference about how state is written,
-// not part of the run's identity: it is not stored in checkpoints, and
-// a swarm restored from any format may save in any other.
-func WithCheckpointCodec(c CheckpointCodec) Option {
-	return optionFunc(func(o *options) { o.ckptCodec = c })
-}
-
 // WithStream attaches a waggle-stream/v1 movement stream writing to
 // path (see Swarm.NewStreamWriter) as soon as the swarm is built —
 // for a restored swarm, after the replay completes, so restoring never
-// re-streams history the file already holds. Like the checkpoint
-// codec, streaming is a preference about how state is written, not
-// part of the run's identity: it is not recorded in the input log.
+// re-streams history the file already holds. Streaming is a
+// preference about how state is written, not part of the run's
+// identity: it is not recorded in the input log.
 func WithStream(path string) Option {
 	return optionFunc(func(o *options) { o.streamPath = path })
 }

@@ -447,8 +447,11 @@ func validateOptions(o options, n int) error {
 	if o.scheduler == SchedulerStarver && (o.starveVictim < 0 || o.starveVictim >= n) {
 		return fmt.Errorf("waggle: starver victim %d out of range [0,%d)", o.starveVictim, n)
 	}
-	if o.sigma <= 0 {
+	if !(o.sigma > 0) { // NaN fails every comparison
 		return fmt.Errorf("waggle: sigma %v must be positive", o.sigma)
+	}
+	if !(o.activationProb >= 0 && o.activationProb <= 1) {
+		return fmt.Errorf("waggle: activation probability %v outside [0,1] (0 means the default)", o.activationProb)
 	}
 	if o.stabilizeEpoch != 0 {
 		if o.stabilizeEpoch < 0 {

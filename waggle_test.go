@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -356,6 +357,10 @@ func TestOptionValidation(t *testing.T) {
 		{"alternating drift sync", two, []Option{WithSynchronous(), WithAlternatingDrift()}},
 		{"starver victim out of range", square(), []Option{WithStarver(9, 4)}},
 		{"non-positive sigma", two, []Option{WithSigma(-1)}},
+		{"NaN sigma", two, []Option{WithSigma(math.NaN())}},
+		{"NaN activation probability", square(), []Option{WithActivationProbability(math.NaN())}},
+		{"negative activation probability", square(), []Option{WithActivationProbability(-0.5)}},
+		{"activation probability above 1", square(), []Option{WithActivationProbability(3)}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
