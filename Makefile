@@ -21,17 +21,25 @@ fmt-check:
 test:
 	$(GO) test ./...
 
+# The race detector slows the protocols about tenfold, and
+# internal/sweep's TestNamesAllRunnable runs every experiment in full,
+# C4 up to n=512 among them: about 9 minutes by itself under -race on a
+# 2-vCPU host, past go test's default 10-minute limit once other
+# packages share the CPUs. Hence the explicit timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Race-repeat gate for the step engine's concurrent paths: the fault
 # injector's per-observer event buffers are written from parallel-engine
 # workers, the batched compact-view workers share the grid while each
 # writes its own gather, position and key buffers, and the robots of a
-# protocol swarm decode concurrently against one shared sector table
-# (TestDecoderDigest's parallel cases). -cpu 4 matters on a one-CPU
-# host, where GOMAXPROCS=1 would run a single worker and the race
-# detector would never see two interleave.
+# protocol swarm initialise and decode concurrently against one shared
+# sector table, which also holds the swarm's Welzl order for every
+# robot's smallest enclosing circle (TestDecoderDigest's parallel
+# cases; TestDecoderDigestLarge's n=128 case stays out, too slow under
+# -race). -cpu 4 matters on a one-CPU host, where GOMAXPROCS=1 would
+# run a single worker and the race detector would never see two
+# interleave.
 race-repeat:
 	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestObserverEngineParity|TestStreamFaultEvents|TestGoldenEngineParity|TestGoldenReplayFrames|TestDecoderDigest)$$/^parallel$$' .
 	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestEngineParity|TestStepAllocationFree|TestTeleport|TestTraceRecording|TestCompactViewParity|TestIncrementalGridParity|TestViewIndexParityParallelEngine)$$' ./internal/sim

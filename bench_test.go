@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"waggle/internal/figures"
 )
@@ -100,6 +102,63 @@ func BenchmarkFig4SECNaming(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		steps := deliverOne(b, pts, payload, WithSynchronous(), WithSeed(4))
 		b.ReportMetric(float64(steps), "instants/msg")
+	}
+}
+
+// BenchmarkSECNamingScale runs the facade default, AsyncN under SEC
+// naming (chirality only), as the swarm grows: a seed-7 placement on a
+// 12n square, 3n instants, then 4 unicasts until delivered. The first
+// instant is every robot's first activation, which builds the robot's
+// naming of every other robot (DESIGN.md §5n). It reports that instant,
+// the mean instant over the 3n, the live heap after them, the instants
+// the 4 unicasts take and the Go runtime's Sys at the end. One n=1024
+// iteration takes about a minute: run it with -benchtime 1x.
+func BenchmarkSECNamingScale(b *testing.B) {
+	for _, n := range []int{32, 64, 128, 256, 512, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			pts := benchPositions(n, 7)
+			for i := 0; i < b.N; i++ {
+				s, err := NewSwarm(pts, WithSeed(7))
+				if err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				var first time.Duration
+				for t := 0; t < 3*n; t++ {
+					if err := s.Step(); err != nil {
+						b.Fatal(err)
+					}
+					if t == 0 {
+						first = time.Since(start)
+					}
+				}
+				warmup := time.Since(start)
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				heap := ms.HeapAlloc
+				rng := rand.New(rand.NewSource(7))
+				for k := 0; k < 4; k++ {
+					from, to := rng.Intn(n), rng.Intn(n-1)
+					if to >= from {
+						to++
+					}
+					if err := s.Send(from, to, []byte{byte(k), 0x5E, 0xC0, 0xDE}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				_, steps, err := s.RunUntilDelivered(4, 1_000_000)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				b.ReportMetric(float64(first.Microseconds())/1e3, "first_instant_ms")
+				b.ReportMetric(float64(warmup.Microseconds())/1e3/float64(3*n), "warmup_ms/instant")
+				b.ReportMetric(float64(heap)/(1<<20), "heap_MiB")
+				b.ReportMetric(float64(steps), "deliver_instants")
+				b.ReportMetric(float64(ms.Sys)/(1<<20), "sys_MiB")
+			}
+		})
 	}
 }
 

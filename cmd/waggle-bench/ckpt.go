@@ -20,9 +20,10 @@ const ckptSchema = "waggle-bench-ckpt/v1"
 // The interval mutations go through the recorded Send API (cheap, and
 // exactly what a checkpoint must replay); the chatting protocols
 // themselves cannot step a million-robot swarm at all, since every
-// activation recomputes the full swarm geometry (O(n^2 log n) per
-// robot under SEC naming), so position churn at these sizes is
-// exercised by the chaos property tests at protocol scale instead.
+// robot keeps O(n) state about every other robot (O(n^2) per swarm)
+// and every activation observes all of them, so position churn at
+// these sizes is exercised by the chaos property tests at protocol
+// scale instead.
 const ckptSparse = 16
 
 // CkptResult is one checkpoint-codec measurement at one swarm size.

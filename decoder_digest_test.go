@@ -10,21 +10,24 @@ import (
 
 	"waggle/internal/core"
 	"waggle/internal/figures"
+	"waggle/internal/geom"
 	"waggle/internal/protocol"
 	"waggle/internal/sim"
 )
 
 // decoderCase is one configuration TestDecoderDigest pins: n robots
 // placed by figures.RandomConfiguration on a 12n square at separation
-// 8, msgs queued 4-byte unicasts from distinct senders after instant 0,
-// then steps more instants.
+// 8 (or by place), msgs queued 4-byte unicasts from distinct senders
+// after instant 0, then steps more instants.
 type decoderCase struct {
 	name       string
 	n, msgs    int
 	steps      int
 	opts       []Option
-	resolution int    // AsyncN's DirectionResolution, which no Option reaches; 0 builds through NewSwarm
-	digest     string // the same under both engines
+	resolution int                 // AsyncN's DirectionResolution, which no Option reaches; 0 builds through NewSwarm
+	place      func() []geom.Point // a hand-built placement of n robots; nil places them at random
+	resend     int                 // when > 0, the same unicasts are queued again every resend instants
+	digest     string              // the same under both engines
 }
 
 // decoderCases' digests were recorded before the movement decoder gained
@@ -65,13 +68,103 @@ var decoderCases = []decoderCase{
 		opts:   []Option{WithSeed(16), WithLeftHandedFrames()},
 		digest: "55cfc3498c25f85ca226016d9e2830c5cdbf286124741a97311d6c3fec09c302",
 	},
+	// The SEC naming cases were recorded before the one-sort naming
+	// (naming.SECNaming) existed.
+	{
+		name: "syncn-sec", n: 24, msgs: 12, steps: 160,
+		opts:   []Option{WithSeed(18), WithSynchronous()},
+		digest: "3f6d5fa602d1fe013fe40045da7b39d5e77a43136417448f3df9cffb5cc096f1",
+	},
+	{
+		// Four epochs, each rebuilding every robot's naming, with the
+		// same unicasts queued again at the start of each.
+		name: "syncn-sec-stabilizing", n: 24, msgs: 12, steps: 480, resend: 120,
+		opts:   []Option{WithSeed(19), WithSynchronous(), WithStabilization(120)},
+		digest: "dc0bfdb2a44b2207b102bc29fda14ae53516838e824906a0695521488d94ad80",
+	},
+	{
+		name: "syncn-sec-radius-ties", n: 19, msgs: 10, steps: 160, place: secRadiusTies,
+		opts:   []Option{WithSeed(20), WithSynchronous()},
+		digest: "96ba95700bf3b63f8660d1f0ff974fe72e6bd197600df6526447da07b8d4cf5d",
+	},
+	{
+		name: "asyncn-sec-radius-ties", n: 19, msgs: 8, steps: 3000, place: secRadiusTies,
+		opts:   []Option{WithSeed(21)},
+		digest: "fee00471b6a76f82cf81821c16353dbc979a6e2a8c90435f41f61723b61684fe",
+	},
+	{
+		name: "asyncn-sec-near-ties", n: 14, msgs: 7, steps: 3000, place: secNearTies,
+		opts:   []Option{WithSeed(22)},
+		digest: "4eb466d807cdb872c084ea7df3fba9cd5844d63923157f8fab7f42257b38f2c3",
+	},
+}
+
+// largeDecoderCases are pinned like decoderCases but kept out of
+// `make race-repeat`, where the race detector makes them slow.
+var largeDecoderCases = []decoderCase{
+	{
+		name: "asyncn-sec-128", n: 128, msgs: 8, steps: 3000,
+		opts:   []Option{WithSeed(23)},
+		digest: "81a4508e6fa78d93c212d3a7a454b9edb20ea420a9abfe19318eca8654def7b7",
+	},
+}
+
+// secTriangle is three robots on a circle of radius 100 about the
+// origin, 120° apart: the configuration's smallest enclosing circle
+// whenever every other robot lies strictly inside it.
+func secTriangle() []geom.Point {
+	h := 50 * math.Sqrt(3)
+	return []geom.Point{geom.Pt(0, 100), geom.Pt(-h, -50), geom.Pt(h, -50)}
+}
+
+// secRadiusTies is 19 robots, most of them sharing an SEC radius with
+// others: rays along integer directions from the SEC centre, so that
+// robots on one ray tie exactly in angle in the world frame. Robot 3
+// sits at the centre (label 0 in every naming), and robots 5 and 6 are
+// on a radius with a robot nearer the centre (not innermost).
+func secRadiusTies() []geom.Point {
+	return append(secTriangle(),
+		geom.Pt(0, 0),
+		geom.Pt(12, 16), geom.Pt(27, 36), geom.Pt(42, 56), // along (3, 4)
+		geom.Pt(0, 30), geom.Pt(0, 60), // with the support robot (0, 100)
+		geom.Pt(-20, 20), geom.Pt(-45, 45),
+		geom.Pt(-10, -20), geom.Pt(-25, -50),
+		geom.Pt(30, -30), geom.Pt(55, -55),
+		geom.Pt(-60, 15),
+		geom.Pt(40, 0), geom.Pt(75, 0),
+		geom.Pt(-35, 0),
+	)
+}
+
+// secNearTies is 14 robots, four pairs of which differ in angle about
+// the SEC centre by half or twice naming's angleEps (1e-9 rad), one
+// pair across the ±π seam: far enough from angleEps that every robot's
+// frame resolves each pair the same way, too near it for the one-sort
+// naming's certificate, so every robot takes the per-observer fallback.
+func secNearTies() []geom.Point {
+	polar := func(r, a float64) geom.Point { return geom.Pt(r*math.Cos(a), r*math.Sin(a)) }
+	return append(secTriangle(),
+		polar(40, 0.7), polar(70, 0.7+0.5e-9),
+		polar(30, 2.5), polar(65, 2.5+2e-9),
+		polar(45, math.Pi-0.25e-9), polar(80, -math.Pi+0.25e-9),
+		polar(50, -1.2), polar(85, -1.2-2e-9),
+		polar(20, 1.6), polar(35, -2.2), polar(60, 0),
+	)
 }
 
 // decoderNetwork builds the case's stack under the given engine.
 func decoderNetwork(t *testing.T, c decoderCase, engine EngineMode) *core.Network {
 	t.Helper()
-	rng := rand.New(rand.NewSource(int64(len(c.name))*7919 + int64(c.n)))
-	pts := figures.RandomConfiguration(rng, c.n, 12*float64(c.n), 8)
+	var pts []geom.Point
+	if c.place != nil {
+		pts = c.place()
+		if len(pts) != c.n {
+			t.Fatalf("placement of %d robots, want %d", len(pts), c.n)
+		}
+	} else {
+		rng := rand.New(rand.NewSource(int64(len(c.name))*7919 + int64(c.n)))
+		pts = figures.RandomConfiguration(rng, c.n, 12*float64(c.n), 8)
+	}
 	opts := append(append([]Option(nil), c.opts...), WithEngine(engine))
 	if c.resolution == 0 {
 		positions := make([]Point, len(pts))
@@ -125,17 +218,27 @@ func decoderDigest(t *testing.T, c decoderCase, engine EngineMode) (string, int)
 	}
 	rng := rand.New(rand.NewSource(int64(c.n) ^ 0x44454344))
 	senders := rng.Perm(c.n)
-	for _, from := range senders[:c.msgs] {
+	type unicast struct {
+		from, to int
+		payload  [4]byte
+	}
+	sends := make([]unicast, c.msgs)
+	for i, from := range senders[:c.msgs] {
 		to := rng.Intn(c.n - 1)
 		if to >= from {
 			to++
 		}
-		var p [4]byte
-		rng.Read(p[:])
-		if err := net.Send(from, to, p[:]); err != nil {
-			t.Fatal(err)
+		sends[i] = unicast{from: from, to: to}
+		rng.Read(sends[i].payload[:])
+	}
+	queue := func() {
+		for _, u := range sends {
+			if err := net.Send(u.from, u.to, u.payload[:]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	queue()
 	h := sha256.New()
 	var buf [8]byte
 	word := func(v uint64) {
@@ -144,6 +247,9 @@ func decoderDigest(t *testing.T, c decoderCase, engine EngineMode) (string, int)
 	}
 	delivered := 0
 	for s := 0; s < c.steps; s++ {
+		if c.resend > 0 && s > 0 && s%c.resend == 0 {
+			queue()
+		}
 		if err := net.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -166,17 +272,27 @@ func decoderDigest(t *testing.T, c decoderCase, engine EngineMode) (string, int)
 
 // TestDecoderDigest pins the movement decoder's output bits on larger
 // swarms than the golden files cover, under both engines: the chat-async
-// stack, SyncN under Lex and IDs naming, the bounded-slice variant,
-// AsyncN with a limited direction resolution, and left-handed frames.
-// `make race-repeat` runs its parallel subtest, where the robots of a
-// swarm decode concurrently.
+// stack, SyncN under Lex, IDs and SEC naming (stabilizing too), the
+// bounded-slice variant, AsyncN with a limited direction resolution,
+// left-handed frames, and SEC namings with shared radii, a robot at the
+// SEC centre, and near-ties. `make race-repeat` runs its parallel
+// subtest, where the robots of a swarm decode concurrently.
 func TestDecoderDigest(t *testing.T) {
+	runDecoderDigests(t, decoderCases)
+}
+
+// TestDecoderDigestLarge pins AsyncN under SEC naming at n = 128.
+func TestDecoderDigestLarge(t *testing.T) {
+	runDecoderDigests(t, largeDecoderCases)
+}
+
+func runDecoderDigests(t *testing.T, cases []decoderCase) {
 	for _, engine := range []struct {
 		name string
 		mode EngineMode
 	}{{"sequential", EngineSequential}, {"parallel", EngineParallel}} {
 		t.Run(engine.name, func(t *testing.T) {
-			for _, c := range decoderCases {
+			for _, c := range cases {
 				t.Run(c.name, func(t *testing.T) {
 					got, delivered := decoderDigest(t, c, engine.mode)
 					if delivered == 0 {

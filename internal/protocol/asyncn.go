@@ -108,7 +108,7 @@ func NewAsyncN(n int, cfg AsyncNConfig) ([]sim.Behavior, []*Endpoint, error) {
 	}
 	behaviors := make([]sim.Behavior, n)
 	endpoints := make([]*Endpoint, n)
-	sectors := newSectorTable(n + 1)
+	sectors := newSectorTable(n+1, n)
 	for i := 0; i < n; i++ {
 		endpoints[i] = newEndpoint(i, n)
 		var sigma float64

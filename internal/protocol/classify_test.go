@@ -3,9 +3,11 @@ package protocol
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"waggle/internal/geom"
+	"waggle/internal/sec"
 )
 
 // referenceClassify is the classifier the certified fast path must
@@ -69,7 +71,7 @@ func TestSlicerClassifyMatchesReference(t *testing.T) {
 	magnitudes := []float64{1e-300, 1e-200, 1e-100, 1e-10, 1e-3, 1, 7, 1e3, 1e10, 1e100, 1e200, 1e300}
 	var onDiameter, hits int
 	for diameters := 1; diameters <= 70; diameters++ {
-		tab := newSectorTable(diameters).filled()
+		tab := newSectorTable(diameters, 0).filled()
 		refs := []geom.Vec{geom.V(0, 1)}
 		for len(refs) < 4 {
 			sin, cos := math.Sincos(rng.Float64() * 2 * math.Pi)
@@ -120,7 +122,7 @@ func TestSlicerClassifyMatchesReference(t *testing.T) {
 	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, 0x1p-1000, 1e-300, 1, -1,
 		1e300, -1e300, math.MaxFloat64, -math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
 	for _, diameters := range []int{1, 2, 3, 4, 5, 17, 33, 70} {
-		tab := newSectorTable(diameters).filled()
+		tab := newSectorTable(diameters, 0).filled()
 		for _, ref := range []geom.Vec{geom.V(0, 1), geom.V(0.6, -0.8), geom.V(-3e-7, -2)} {
 			for _, x := range special {
 				for _, y := range special {
@@ -133,7 +135,8 @@ func TestSlicerClassifyMatchesReference(t *testing.T) {
 
 // TestSectorTablesShared shows each protocol constructor builds one
 // sector table of its diameter count and hands it to every robot, and
-// that the table's boundaries wait for the first robot to use them.
+// that the table's boundaries and Welzl order wait for the first robot
+// to use them.
 func TestSectorTablesShared(t *testing.T) {
 	const n = 6
 	check := func(name string, tables []*sectorTable, diameters int) {
@@ -142,12 +145,15 @@ func TestSectorTablesShared(t *testing.T) {
 			if tab != tables[0] {
 				t.Errorf("%s: robot %d has its own sector table", name, i)
 			}
-			if i == 0 && tab.bounds != nil {
+			if i == 0 && (tab.bounds != nil || tab.welzl != nil) {
 				t.Errorf("%s: the table was filled before any robot used it", name)
 			}
 			if tab.diameters != diameters || len(tab.filled().bounds) != 2*diameters+1 {
 				t.Errorf("%s: robot %d's table has %d diameters and %d bounds, want %d and %d",
 					name, i, tab.diameters, len(tab.bounds), diameters, 2*diameters+1)
+			}
+			if !slices.Equal(tab.welzl, sec.Order(n)) {
+				t.Errorf("%s: robot %d's Welzl order %v, want sec.Order(%d)", name, i, tab.welzl, n)
 			}
 		}
 	}
@@ -192,6 +198,6 @@ func FuzzSlicerClassify(f *testing.F) {
 	f.Add(1.0, 0.0, math.NaN(), 1.0, uint8(4))
 	f.Add(0.0, 0.0, 1.0, 1.0, uint8(7))
 	f.Fuzz(func(t *testing.T, refX, refY, dX, dY float64, d uint8) {
-		checkClassify(t, geom.V(refX, refY), newSectorTable(int(d)+1).filled(), geom.V(dX, dY))
+		checkClassify(t, geom.V(refX, refY), newSectorTable(int(d)+1, 0).filled(), geom.V(dX, dY))
 	})
 }

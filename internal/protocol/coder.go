@@ -62,10 +62,13 @@ type standardSink struct {
 
 func (s *standardSink) consume(k int, side sideOf) (Received, bool) {
 	label, ok := s.geo.diameterRecipient(k)
-	if !ok || label >= len(s.geo.homeOf[s.sender]) {
+	if !ok {
 		return Received{}, false
 	}
-	to := s.geo.rxRecipient(s.sender, label)
+	to, ok := s.geo.rxRecipient(s.sender, label)
+	if !ok {
+		return Received{}, false
+	}
 	dec := s.rx[to]
 	if dec == nil {
 		dec = encoding.NewFrameDecoder()
@@ -148,10 +151,14 @@ func (s *boundedSink) consume(k int, side sideOf) (Received, bool) {
 	}
 	label, err := encoding.DecodeIndex(s.digits, s.k)
 	s.digits = s.digits[:0]
-	if err != nil || label >= len(s.geo.homeOf[s.sender]) {
+	if err != nil {
 		return Received{}, false
 	}
-	return Received{From: s.sender, To: s.geo.rxRecipient(s.sender, label), Payload: msg}, true
+	to, ok := s.geo.rxRecipient(s.sender, label)
+	if !ok {
+		return Received{}, false
+	}
+	return Received{From: s.sender, To: to, Payload: msg}, true
 }
 
 // NewAsyncBounded builds the §5 bounded-slice asynchronous protocol:
@@ -167,7 +174,7 @@ func NewAsyncBounded(n, k int, cfg AsyncNConfig) ([]sim.Behavior, []*Endpoint, e
 	if err != nil {
 		return nil, nil, err
 	}
-	sectors := newSectorTable(k + 2)
+	sectors := newSectorTable(k+2, n)
 	for _, b := range behaviors {
 		robot, ok := b.(*asyncNRobot)
 		if !ok {

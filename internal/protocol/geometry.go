@@ -35,14 +35,50 @@ type swarmGeometry struct {
 	// sectors.diameters diameters.
 	slicers []slicer
 	sectors *sectorTable
-	// labelOf[j][h] is the label robot j uses for the robot with home
-	// index h; homeOf[j][l] inverts it. nil for a sender with no horizon
-	// under SEC naming.
-	labelOf [][]int
-	homeOf  [][]int
+	// names holds every sender's naming; nil when the naming scheme
+	// failed (g.err says why).
+	names senderNaming
 
 	err error
 }
+
+// senderNaming is one robot's copy of every sender's naming: the label
+// sender j uses for each robot, and its inverse.
+type senderNaming interface {
+	// Label returns the label sender j uses for the robot with home
+	// index h.
+	Label(j, h int) int
+	// Home inverts Label, for labels 0 <= l < n.
+	Home(j, l int) int
+	// Defined reports whether sender j has a naming: every sender but
+	// one at the SEC centre, which has no horizon.
+	Defined(j int) bool
+}
+
+// sharedNaming is the one labelling every sender shares under IDs and
+// Lex naming, and its inverse.
+type sharedNaming struct {
+	labels, homes []int
+}
+
+func newSharedNaming(labels []int) sharedNaming {
+	return sharedNaming{labels: labels, homes: invertLabels(labels)}
+}
+
+func (s sharedNaming) Label(_, h int) int { return s.labels[h] }
+func (s sharedNaming) Home(_, l int) int  { return s.homes[l] }
+func (sharedNaming) Defined(int) bool     { return true }
+
+// tableNaming is every sender's SECLabels and its inverse, n² ints: the
+// fallback for a configuration naming.SECNaming does not certify.
+// labelOf[j] is nil for a sender with no horizon.
+type tableNaming struct {
+	labelOf, homeOf [][]int
+}
+
+func (t tableNaming) Label(j, h int) int { return t.labelOf[j][h] }
+func (t tableNaming) Home(j, l int) int  { return t.homeOf[j][l] }
+func (t tableNaming) Defined(j int) bool { return t.labelOf[j] != nil }
 
 // buildSwarmGeometry runs the preprocessing for the given naming scheme.
 // extraKappa reserves diameter 0 as the §4.2 idle slice κ, mapping
@@ -62,8 +98,6 @@ func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, sectors *
 		sectors: sectors.filled(),
 	}
 	g.slicers = make([]slicer, n)
-	g.labelOf = make([][]int, n)
-	g.homeOf = make([][]int, n)
 
 	switch scheme {
 	case NamingIDs:
@@ -73,13 +107,13 @@ func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, sectors *
 		}
 		shared := make([]int, n)
 		copy(shared, view.IDs)
-		g.fillSharedNaming(shared)
+		g.names = newSharedNaming(shared)
 		g.fillNorthSlicers()
 	case NamingLex:
-		g.fillSharedNaming(naming.LexLabels(g.p0))
+		g.names = newSharedNaming(naming.LexLabels(g.p0))
 		g.fillNorthSlicers()
 	case NamingSEC:
-		circle, err := sec.Enclosing(g.p0)
+		circle, err := sec.EnclosingInOrder(g.p0, g.sectors.welzl)
 		if err != nil {
 			g.err = fmt.Errorf("protocol: smallest enclosing circle: %w", err)
 			return g
@@ -95,15 +129,11 @@ func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, sectors *
 				continue
 			}
 			g.slicers[j] = newSlicer(horizon, g.sectors.diameters)
-			labels, err := naming.SECLabels(g.p0, j, circle)
-			if err != nil {
-				if j == g.self {
-					g.err = fmt.Errorf("protocol: relative naming: %w", err)
-				}
-				continue
-			}
-			g.labelOf[j] = labels
-			g.homeOf[j] = invertLabels(labels)
+		}
+		if names, ok := naming.NewSECNaming(g.p0, circle); ok {
+			g.names = names
+		} else {
+			g.names = g.secTables(circle)
 		}
 	default:
 		g.err = fmt.Errorf("protocol: unknown naming scheme %d", int(scheme))
@@ -111,14 +141,25 @@ func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, sectors *
 	return g
 }
 
-// fillSharedNaming installs one labelling common to every sender
-// (observable IDs or the lexicographic order).
-func (g *swarmGeometry) fillSharedNaming(labels []int) {
-	inv := invertLabels(labels)
-	for j := range g.labelOf {
-		g.labelOf[j] = labels
-		g.homeOf[j] = inv
+// secTables sorts every sender's SEC naming on its own (the fallback).
+func (g *swarmGeometry) secTables(circle geom.Circle) tableNaming {
+	n := len(g.p0)
+	t := tableNaming{labelOf: make([][]int, n), homeOf: make([][]int, n)}
+	for j := 0; j < n; j++ {
+		if g.slicers[j].ref.IsZero() {
+			continue // no horizon
+		}
+		labels, err := naming.SECLabels(g.p0, j, circle)
+		if err != nil {
+			if j == g.self {
+				g.err = fmt.Errorf("protocol: relative naming: %w", err)
+			}
+			continue
+		}
+		t.labelOf[j] = labels
+		t.homeOf[j] = invertLabels(labels)
 	}
+	return t
 }
 
 // fillNorthSlicers orients every granular on the shared North (+y):
@@ -132,7 +173,7 @@ func (g *swarmGeometry) fillNorthSlicers() {
 
 // canDecode reports whether movements of sender j are classifiable.
 func (g *swarmGeometry) canDecode(j int) bool {
-	return g.labelOf[j] != nil && !g.slicers[j].ref.IsZero()
+	return g.names != nil && g.names.Defined(j) && !g.slicers[j].ref.IsZero()
 }
 
 // txLabel maps an outbound recipient (a home index, or ToAll) to the
@@ -141,20 +182,23 @@ func (g *swarmGeometry) canDecode(j int) bool {
 // diameter is free to mean "to everyone".
 func (g *swarmGeometry) txLabel(to int) int {
 	if to == ToAll {
-		return g.labelOf[g.self][g.self]
+		return g.names.Label(g.self, g.self)
 	}
-	return g.labelOf[g.self][to]
+	return g.names.Label(g.self, to)
 }
 
 // rxRecipient maps a decoded (sender, label) pair to the delivery
 // target: the sender's own label means broadcast, delivered to the
-// observer itself.
-func (g *swarmGeometry) rxRecipient(sender, label int) int {
-	to := g.homeOf[sender][label]
-	if to == sender {
-		return g.self
+// observer itself. ok is false for a label outside the swarm.
+func (g *swarmGeometry) rxRecipient(sender, label int) (to int, ok bool) {
+	if label >= len(g.p0) {
+		return 0, false
 	}
-	return to
+	to = g.names.Home(sender, label)
+	if to == sender {
+		return g.self, true
+	}
+	return to, true
 }
 
 // recipientDiameter returns the diameter index carrying bits addressed

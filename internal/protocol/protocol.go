@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"waggle/internal/geom"
+	"waggle/internal/sec"
 	"waggle/internal/spatial"
 )
 
@@ -154,11 +155,14 @@ const sectorMargin = 0x1p-30
 // the frame in which a slicer sees a displacement d: a = d·ref along the
 // reference direction and b = d×ref, so that d's clockwise angle from
 // the reference is atan2(b, a). Sector m (diameter m mod D, side m ≥ D)
-// spans the clockwise angles ((m−½)·π/D, (m+½)·π/D). The protocol
-// constructors build one table per diameter count, and every robot of
-// the swarm shares it, read-only once filled.
+// spans the clockwise angles ((m−½)·π/D, (m+½)·π/D). Next to them it
+// keeps the order in which every robot's smallest enclosing circle
+// visits the swarm's initial positions. The protocol constructors build
+// one table per swarm, and every robot of the swarm shares it,
+// read-only once filled.
 type sectorTable struct {
 	diameters int
+	robots    int
 	// perHalfStep is D/π, the number of half-steps per radian.
 	perHalfStep float64
 	fill        sync.Once
@@ -166,19 +170,23 @@ type sectorTable struct {
 	// lower and upper boundary, for m in [0, 2D): 2D+1 entries, whose
 	// first and last are the same boundary, so sector 0 needs no wrap.
 	bounds []geom.Vec
+	// welzl is sec.Order(robots), Welzl's fixed shuffle of the swarm,
+	// for sec.EnclosingInOrder.
+	welzl []int
 }
 
-// newSectorTable returns the sector table of the given diameter count,
-// with its boundaries still to fill.
-func newSectorTable(diameters int) *sectorTable {
-	return &sectorTable{diameters: diameters, perHalfStep: float64(diameters) / math.Pi}
+// newSectorTable returns the sector table of the given diameter count
+// for a swarm of the given size, with its contents still to fill.
+func newSectorTable(diameters, robots int) *sectorTable {
+	return &sectorTable{diameters: diameters, robots: robots, perHalfStep: float64(diameters) / math.Pi}
 }
 
-// filled fills the boundary directions on its first call and returns t.
-// Each robot calls it as it builds its swarm geometry, before its first
-// classification, so robots initialising in parallel fill the table once
-// and a swarm that is never stepped (one built only to be checkpointed,
-// say) never pays for its 2D+1 entries.
+// filled fills the boundary directions and the Welzl order on its first
+// call and returns t. Each robot calls it as it builds its swarm
+// geometry, before its first classification, so robots initialising in
+// parallel fill the table once and a swarm that is never stepped (one
+// built only to be checkpointed, say) never pays for its 2D+1 entries
+// or its order.
 func (t *sectorTable) filled() *sectorTable {
 	t.fill.Do(func() {
 		t.bounds = make([]geom.Vec, 2*t.diameters+1)
@@ -186,6 +194,7 @@ func (t *sectorTable) filled() *sectorTable {
 			sin, cos := math.Sincos((float64(m) - 0.5) * math.Pi / float64(t.diameters))
 			t.bounds[m] = geom.V(cos, sin)
 		}
+		t.welzl = sec.Order(t.robots)
 	})
 	return t
 }

@@ -75,7 +75,7 @@ func NewStabilizingSyncN(n, epoch int, cfg SyncNConfig) ([]sim.Behavior, []*Endp
 	}
 	endpoints := make([]*Endpoint, n)
 	behaviors := make([]sim.Behavior, n)
-	sectors := newSectorTable(n)
+	sectors := newSectorTable(n, n)
 	for i := 0; i < n; i++ {
 		endpoints[i] = newEndpoint(i, n)
 		endpoint := endpoints[i]

@@ -74,7 +74,7 @@ func NewSyncN(n int, cfg SyncNConfig) ([]sim.Behavior, []*Endpoint, error) {
 	}
 	behaviors := make([]sim.Behavior, n)
 	endpoints := make([]*Endpoint, n)
-	sectors := newSectorTable(n)
+	sectors := newSectorTable(n, n)
 	for i := 0; i < n; i++ {
 		endpoints[i] = newEndpoint(i, n)
 		var sigma float64
@@ -249,10 +249,13 @@ func (r *syncNRobot) decodeAll(view sim.View) {
 		}
 		k, side := r.geo.slicers[j].classify(d, r.geo.sectors)
 		label, ok := r.geo.diameterRecipient(k)
-		if !ok || label >= len(r.geo.homeOf[j]) {
+		if !ok {
 			continue
 		}
-		to := r.geo.rxRecipient(j, label)
+		to, ok := r.geo.rxRecipient(j, label)
+		if !ok {
+			continue
+		}
 		key := [2]int{j, to}
 		dec := r.rx[key]
 		if dec == nil {

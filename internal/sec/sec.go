@@ -29,16 +29,37 @@ var ErrNoPoints = errors.New("sec: empty point set")
 // bit-identical output — mirroring the paper's requirement that all
 // robots agree on SEC exactly.
 func Enclosing(points []geom.Point) (geom.Circle, error) {
+	return EnclosingInOrder(points, Order(len(points)))
+}
+
+// Order returns the order in which Enclosing visits n points: a shuffle
+// of 0..n-1 by a fixed seed. Welzl's expected-linear bound needs a
+// random permutation, determinism needs a fixed seed. The order depends
+// on n alone, so a caller computing the SEC of many n-point sets (every
+// robot of a swarm) computes it once and passes it to EnclosingInOrder.
+func Order(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	rng := rand.New(rand.NewSource(0x5EC))
+	rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return order
+}
+
+// EnclosingInOrder is Enclosing visiting points[order[0]],
+// points[order[1]], ...; order must be Order(len(points)), which makes
+// the circle Enclosing's, bit for bit. The caller keeps ownership of
+// both slices.
+func EnclosingInOrder(points []geom.Point, order []int) (geom.Circle, error) {
 	n := len(points)
 	if n == 0 {
 		return geom.Circle{}, ErrNoPoints
 	}
 	pts := make([]geom.Point, n)
-	copy(pts, points)
-	// Fixed-seed shuffle: Welzl's expected-linear bound needs a random
-	// permutation, determinism needs a fixed seed.
-	rng := rand.New(rand.NewSource(0x5EC))
-	rng.Shuffle(n, func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+	for i, j := range order {
+		pts[i] = points[j]
+	}
 
 	c := geom.Circle{Center: pts[0], R: 0}
 	for i := 1; i < n; i++ {

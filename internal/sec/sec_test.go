@@ -113,6 +113,48 @@ func TestEnclosingDeterministic(t *testing.T) {
 // sense that (a) at least two input points lie on its boundary (for
 // n >= 2 non-coincident points) and (b) shrinking the radius by 0.1%
 // excludes some point.
+// TestEnclosingInOrderMatchesShuffle shows that visiting points in
+// Order(n) computes the circle the per-call fixed-seed shuffle computed,
+// bit for bit, with the input left untouched.
+func TestEnclosingInOrderMatchesShuffle(t *testing.T) {
+	shuffled := func(points []geom.Point) geom.Circle {
+		pts := append([]geom.Point(nil), points...)
+		rng := rand.New(rand.NewSource(0x5EC))
+		rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+		c := geom.Circle{Center: pts[0], R: 0}
+		for i := 1; i < len(pts); i++ {
+			if !c.Contains(pts[i]) {
+				c = circleWithOneBoundary(pts[:i], pts[i])
+			}
+		}
+		return c
+	}
+	rng := rand.New(rand.NewSource(9))
+	for n := 1; n <= 300; n++ {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt(rng.NormFloat64()*50, rng.NormFloat64()*50)
+		}
+		before := append([]geom.Point(nil), pts...)
+		order := Order(n)
+		got, err := EnclosingInOrder(pts, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := shuffled(pts); got != want {
+			t.Fatalf("n=%d: %+v, the shuffle gives %+v", n, got, want)
+		}
+		if viaEnclosing, _ := Enclosing(pts); viaEnclosing != got {
+			t.Fatalf("n=%d: Enclosing %+v, EnclosingInOrder %+v", n, viaEnclosing, got)
+		}
+		for i := range pts {
+			if pts[i] != before[i] {
+				t.Fatalf("n=%d: input point %d moved", n, i)
+			}
+		}
+	}
+}
+
 func TestEnclosingPropertyContainsAndMinimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 60; trial++ {

@@ -144,14 +144,15 @@ func bitsPer(k int) int {
 }
 
 // Slices is experiment C4: the §5 trade-off between granular slices and
-// transmission steps. The direct protocol uses n+1 diameters and sends a
-// message in frameBits excursions; the bounded variant uses k+2
-// diameters and pays a ⌈log_k n⌉-excursion prelude.
+// transmission steps, at the sizes DESIGN.md §4 lists (n from 8 to
+// 512). The direct protocol uses n+1 diameters and sends a message in
+// frameBits excursions; the bounded variant uses k+2 diameters and pays
+// a ⌈log_k n⌉-excursion prelude.
 func Slices() (*render.Table, error) {
 	msg := []byte{0x5C}
 	frameBits := 16 + 8*len(msg)
 	tbl := render.NewTable("n", "variant", "diameters", "excursions/msg", "steps")
-	for _, n := range []int{8, 16, 32} {
+	for _, n := range []int{8, 16, 32, 64, 128, 256, 512} {
 		positions := positionsFor(n, int64(n))
 		run := func(opts ...waggle.Option) (int, int, error) {
 			s, err := waggle.NewSwarm(positions, append(opts, waggle.WithSeed(int64(n)))...)
