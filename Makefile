@@ -29,10 +29,12 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Race-repeat gate for the step engine's concurrent paths: the fault
-# injector's per-observer event buffers are written from parallel-engine
-# workers, the batched compact-view workers share the grid while each
-# writes its own gather, position and key buffers, and the robots of a
+# Race-repeat gate for the step engine's concurrent paths, which the
+# root tests force through the simulator's engine hook (the facade
+# always runs the adaptive engine): the fault injector's per-observer
+# event buffers are written from parallel-engine workers, the batched
+# compact-view workers share the grid while each writes its own
+# gather, position and key buffers, and the robots of a
 # protocol swarm initialise and decode concurrently against one shared
 # sector table, which also holds the swarm's Welzl order for every
 # robot's smallest enclosing circle (TestDecoderDigest's parallel
@@ -90,7 +92,7 @@ chaos-check:
 	$(GO) run ./cmd/waggle-chaos -scenario obs-noise-sync
 	$(GO) run ./cmd/waggle-chaos -scenario move-error-sync
 	$(GO) run ./cmd/waggle-chaos -scenario radio-outage
-	$(GO) run ./cmd/waggle-chaos -scenario combined -engine parallel
+	$(GO) run ./cmd/waggle-chaos -scenario combined
 
 # Record-replay gate: the committed golden checkpoints (the frozen v1
 # fixture golden.ckpt and its v2 twin golden.ckptb) must restore,
@@ -124,11 +126,12 @@ serve-check:
 
 # Streaming-trace gate: record a deterministic run to a
 # waggle-stream/v1 file and prove the crash contract end to end — the
-# stream replays to the un-streamed control's trace digest under both
-# engines (byte-identical files), a spectator joining at the latest
-# keyframe converges to the live end state, and a kill -9 mid-append
-# loses at most the torn tail record (DESIGN.md §5j). Run under -race:
-# the stream taps ride the step loop next to the parallel engine.
+# stream replays to the un-streamed control's trace digest, a spectator
+# joining at the latest keyframe converges to the live end state, and a
+# kill -9 mid-append loses at most the torn tail record (DESIGN.md §5j).
+# That the stream bytes are the same on both of the step engine's
+# compute paths is pinned by TestStreamReplayDigest in the test suite.
+# Run under -race: the stream taps ride the step loop.
 stream-check:
 	$(GO) run -race ./cmd/waggle-sim -stream-check
 
@@ -151,7 +154,8 @@ queen-check:
 
 # Orchestrator scaling run: the chaos matrix and a sweep campaign at 1
 # vs 4 workers, plus a worker-kill run. Writes BENCH_queen.json (schema
-# waggle-bench-queen/v1; the queen table in EXPERIMENTS.md).
+# waggle-bench-queen/v2; the queen table in EXPERIMENTS.md). The
+# committed file is a v1 run: v2 only drops v1's engine field.
 bench-queen:
 	$(GO) run ./cmd/waggle-queen -bench -bench-out BENCH_queen.json
 

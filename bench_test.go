@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"waggle/internal/figures"
+	"waggle/internal/sim"
 )
 
 // The paper has no measured tables — it is a brief announcement with
@@ -331,13 +332,13 @@ func BenchmarkStepParallel(b *testing.B) {
 	for _, n := range []int{64, 128, 256} {
 		for _, engine := range []struct {
 			name string
-			opt  Option
+			mode sim.EngineMode
 		}{
-			{"sequential", WithEngine(EngineSequential)},
-			{"parallel", WithEngine(EngineParallel)},
+			{"sequential", sim.EngineSequential},
+			{"parallel", sim.EngineParallel},
 		} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, engine.name), func(b *testing.B) {
-				s, err := NewSwarm(benchPositions(n, 1), WithSynchronous(), WithSeed(1), engine.opt)
+				s, err := onEngine(engine.mode)(NewSwarm(benchPositions(n, 1), WithSynchronous(), WithSeed(1)))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -368,10 +369,10 @@ func BenchmarkStepObserver(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		for _, engine := range []struct {
 			name string
-			opt  Option
+			mode sim.EngineMode
 		}{
-			{"sequential", WithEngine(EngineSequential)},
-			{"parallel", WithEngine(EngineParallel)},
+			{"sequential", sim.EngineSequential},
+			{"parallel", sim.EngineParallel},
 		} {
 			for _, obsv := range []struct {
 				name string
@@ -382,11 +383,11 @@ func BenchmarkStepObserver(b *testing.B) {
 				{"enabled-tiny-ring", NewObserverWithCapacity(64)},
 			} {
 				b.Run(fmt.Sprintf("n=%d/%s/%s", n, engine.name, obsv.name), func(b *testing.B) {
-					opts := []Option{WithSynchronous(), WithSeed(1), engine.opt}
+					opts := []Option{WithSynchronous(), WithSeed(1)}
 					if obsv.o != nil {
 						opts = append(opts, WithObserver(obsv.o))
 					}
-					s, err := NewSwarm(benchPositions(n, 1), opts...)
+					s, err := onEngine(engine.mode)(NewSwarm(benchPositions(n, 1), opts...))
 					if err != nil {
 						b.Fatal(err)
 					}

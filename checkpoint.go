@@ -28,7 +28,7 @@ import (
 // behavior and endpoint state bit-for-bit — then re-captures the
 // snapshot and requires deep equality with the stored one. A resumed
 // run is byte-identical (positions, traces, obs snapshots) to the
-// uninterrupted run, under EngineSequential and EngineParallel alike.
+// uninterrupted run.
 type Checkpoint = ckpt.Checkpoint
 
 // Checkpoint file-format errors, re-exported for callers that handle
@@ -153,40 +153,17 @@ type Restored struct {
 	Observer *Observer
 }
 
-// RestoreOption adjusts how a checkpoint is restored.
-type RestoreOption func(*restoreOptions)
-
-type restoreOptions struct {
-	engine    EngineMode
-	setEngine bool
-}
-
-// RestoreWithEngine restores under the given engine mode instead of
-// the checkpointed one. Sound because the engine never changes the
-// computed execution — a checkpoint saved under EngineSequential
-// resumes byte-identically under EngineParallel and vice versa.
-func RestoreWithEngine(mode EngineMode) RestoreOption {
-	return func(ro *restoreOptions) { ro.engine = mode; ro.setEngine = true }
-}
-
 // Restore rebuilds a swarm (and its coupled radio, messenger, and
 // observer) from a checkpoint and resumes it at the checkpointed
 // instant. The replayed state is verified against the checkpoint's
 // snapshot; divergence fails with ErrRestoreMismatch rather than
 // resuming a different run.
-func Restore(ck *Checkpoint, ropts ...RestoreOption) (*Restored, error) {
+func Restore(ck *Checkpoint) (*Restored, error) {
 	if ck == nil {
 		return nil, errors.New("waggle: nil checkpoint")
 	}
-	var ro restoreOptions
-	for _, opt := range ropts {
-		opt(&ro)
-	}
 	o := optionsFromCkpt(ck.Config.Options)
 	positions := pointsFromXY(ck.Config.Positions)
-	if ro.setEngine {
-		o.engine = ro.engine
-	}
 	res := &Restored{}
 	if ck.Config.Observer != nil {
 		res.Observer = NewObserverWithCapacity(ck.Config.Observer.TraceCapacity)
@@ -226,7 +203,7 @@ func Restore(ck *Checkpoint, ropts ...RestoreOption) (*Restored, error) {
 
 // newSwarmRestored is the WithRestore path of NewSwarm: the caller
 // passes the same positions and options the checkpoint was captured
-// with (verified; engine mode excepted) plus the checkpoint itself.
+// with (verified) plus the checkpoint itself.
 // Messenger-coupled checkpoints need the full Restore entry point.
 func newSwarmRestored(positions []Point, o options) (*Swarm, error) {
 	ck := o.restore
@@ -239,9 +216,10 @@ func newSwarmRestored(positions []Point, o options) (*Swarm, error) {
 		return nil, err
 	}
 	got, want := s.ckptConfig(), ck.Config
-	// The engine never changes the computed execution, so restoring
-	// under a different mode is allowed: compare configs engine-blind.
-	got.Options.Engine, want.Options.Engine = 0, 0
+	// Older builds recorded their step engine in the reserved Engine
+	// slot; the engine never changed the computed execution, so the
+	// comparison ignores it.
+	want.Options.Engine = 0
 	if !reflect.DeepEqual(got, want) {
 		return nil, fmt.Errorf("%w: %s", ErrRestoreConfig, firstConfigDiff(got, want))
 	}
@@ -393,7 +371,6 @@ func ckptOptions(o options) ckpt.Options {
 		StarveVictim:     o.starveVictim,
 		StarveDelay:      o.starveDelay,
 		ActivationProb:   o.activationProb,
-		Engine:           int(o.engine),
 		StabilizeEpoch:   o.stabilizeEpoch,
 		FaultRadio:       o.faultRadio != nil,
 	}
@@ -433,7 +410,6 @@ func optionsFromCkpt(co ckpt.Options) options {
 	o.starveVictim = co.StarveVictim
 	o.starveDelay = co.StarveDelay
 	o.activationProb = co.ActivationProb
-	o.engine = EngineMode(co.Engine)
 	o.stabilizeEpoch = co.StabilizeEpoch
 	if co.Flock != nil {
 		o.flock = &Point{X: co.Flock.X, Y: co.Flock.Y}

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"waggle/internal/sim"
 )
 
 // ckptFingerprint is everything the acceptance criteria require to be
@@ -47,12 +49,11 @@ func ckptTestPositions() []Point {
 	return []Point{{0, 0}, {10, 0}, {0, 10}, {10, 10}}
 }
 
-func ckptTestOptions(engine EngineMode) []Option {
+func ckptTestOptions() []Option {
 	return []Option{
 		WithSeed(12345),
 		WithTrace(),
 		WithObserver(NewObserver()),
-		WithEngine(engine),
 	}
 }
 
@@ -92,18 +93,18 @@ func ckptPhase2(t *testing.T, s *Swarm) {
 // TestCheckpointResumeByteIdentical is the tentpole acceptance
 // property: a run resumed from a mid-run checkpoint — serialized and
 // deserialized through the wire format — is byte-identical (positions,
-// trace, obs snapshot, deliveries) to the uninterrupted run, under
-// both engines.
+// trace, obs snapshot, deliveries) to the uninterrupted run, on both
+// of the engine's compute paths.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		engine EngineMode
+		engine sim.EngineMode
 	}{
-		{"sequential", EngineSequential},
-		{"parallel", EngineParallel},
+		{"sequential", sim.EngineSequential},
+		{"parallel", sim.EngineParallel},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			full, err := NewSwarm(ckptTestPositions(), ckptTestOptions(tc.engine)...)
+			full, err := onEngine(tc.engine)(NewSwarm(ckptTestPositions(), ckptTestOptions()...))
 			if err != nil {
 				t.Fatalf("full swarm: %v", err)
 			}
@@ -111,7 +112,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			ckptPhase2(t, full)
 			want := fingerprint(t, full)
 
-			cut, err := NewSwarm(ckptTestPositions(), ckptTestOptions(tc.engine)...)
+			cut, err := onEngine(tc.engine)(NewSwarm(ckptTestPositions(), ckptTestOptions()...))
 			if err != nil {
 				t.Fatalf("cut swarm: %v", err)
 			}
@@ -135,6 +136,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			if res.Swarm.Time() != cut.Time() {
 				t.Fatalf("restored at t=%d, checkpointed at t=%d", res.Swarm.Time(), cut.Time())
 			}
+			res.Swarm.net.World().SetEngine(tc.engine)
 			ckptPhase2(t, res.Swarm)
 			got := fingerprint(t, res.Swarm)
 			if !reflect.DeepEqual(got, want) {
@@ -144,10 +146,10 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeCrossEngine pins RestoreWithEngine: a checkpoint
-// saved under one engine resumes byte-identically under the other.
+// TestCheckpointResumeCrossEngine: a checkpoint cut on the sequential
+// compute path resumes byte-identically on the parallel one.
 func TestCheckpointResumeCrossEngine(t *testing.T) {
-	full, err := NewSwarm(ckptTestPositions(), ckptTestOptions(EngineParallel)...)
+	full, err := onEngine(sim.EngineParallel)(NewSwarm(ckptTestPositions(), ckptTestOptions()...))
 	if err != nil {
 		t.Fatalf("full swarm: %v", err)
 	}
@@ -155,7 +157,7 @@ func TestCheckpointResumeCrossEngine(t *testing.T) {
 	ckptPhase2(t, full)
 	want := fingerprint(t, full)
 
-	cut, err := NewSwarm(ckptTestPositions(), ckptTestOptions(EngineSequential)...)
+	cut, err := onEngine(sim.EngineSequential)(NewSwarm(ckptTestPositions(), ckptTestOptions()...))
 	if err != nil {
 		t.Fatalf("cut swarm: %v", err)
 	}
@@ -164,10 +166,11 @@ func TestCheckpointResumeCrossEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	res, err := Restore(ck, RestoreWithEngine(EngineParallel))
+	res, err := Restore(ck)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
+	res.Swarm.net.World().SetEngine(sim.EngineParallel)
 	ckptPhase2(t, res.Swarm)
 	got := fingerprint(t, res.Swarm)
 	if !reflect.DeepEqual(got, want) {
@@ -178,7 +181,7 @@ func TestCheckpointResumeCrossEngine(t *testing.T) {
 // TestCheckpointWithRestoreOption pins the NewSwarm(WithRestore(ck))
 // path, including its config verification.
 func TestCheckpointWithRestoreOption(t *testing.T) {
-	cut, err := NewSwarm(ckptTestPositions(), ckptTestOptions(EngineSequential)...)
+	cut, err := NewSwarm(ckptTestPositions(), ckptTestOptions()...)
 	if err != nil {
 		t.Fatalf("swarm: %v", err)
 	}
@@ -193,14 +196,14 @@ func TestCheckpointWithRestoreOption(t *testing.T) {
 		t.Fatalf("mismatched restore: got %v, want ErrRestoreConfig", err)
 	}
 
-	// Matching options (different engine is explicitly allowed) resume.
-	resumed, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(EngineParallel), WithRestore(ck))...)
+	// Matching options resume.
+	resumed, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(), WithRestore(ck))...)
 	if err != nil {
 		t.Fatalf("WithRestore: %v", err)
 	}
 	ckptPhase2(t, resumed)
 
-	full, err := NewSwarm(ckptTestPositions(), ckptTestOptions(EngineSequential)...)
+	full, err := NewSwarm(ckptTestPositions(), ckptTestOptions()...)
 	if err != nil {
 		t.Fatalf("full swarm: %v", err)
 	}
@@ -229,18 +232,17 @@ type faultedStack struct {
 	bm    *BackupMessenger
 }
 
-func newFaultedStack(t *testing.T, engine EngineMode) faultedStack {
+func newFaultedStack(t *testing.T, engine sim.EngineMode) faultedStack {
 	t.Helper()
 	radio := NewRadio(4, 99)
-	swarm, err := NewSwarm(ckptTestPositions(),
+	swarm, err := onEngine(engine)(NewSwarm(ckptTestPositions(),
 		WithSynchronous(),
 		WithSeed(7),
 		WithTrace(),
 		WithObserver(NewObserver()),
-		WithEngine(engine),
 		WithFaultPlan(ckptFaultPlan()),
 		WithFaultRadio(radio),
-	)
+	))
 	if err != nil {
 		t.Fatalf("swarm: %v", err)
 	}
@@ -299,14 +301,14 @@ func faultedFingerprint(t *testing.T, st faultedStack) ckptFingerprint {
 // TestCheckpointResumeUnderFaultPlan is the hard acceptance case: the
 // checkpoint is taken mid-plan — inside an outage window, on a jam
 // ramp, with messenger failover state live — and the resumed run must
-// still be byte-identical under both engines.
+// still be byte-identical on both of the engine's compute paths.
 func TestCheckpointResumeUnderFaultPlan(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		engine EngineMode
+		engine sim.EngineMode
 	}{
-		{"sequential", EngineSequential},
-		{"parallel", EngineParallel},
+		{"sequential", sim.EngineSequential},
+		{"parallel", sim.EngineParallel},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			full := newFaultedStack(t, tc.engine)
@@ -335,6 +337,7 @@ func TestCheckpointResumeUnderFaultPlan(t *testing.T) {
 			if res.Radio == nil || res.Messenger == nil {
 				t.Fatalf("restore dropped the radio or messenger")
 			}
+			res.Swarm.net.World().SetEngine(tc.engine)
 			faultedPhase2(t, faultedStack{swarm: res.Swarm, radio: res.Radio, bm: res.Messenger})
 			got := faultedFingerprint(t, faultedStack{swarm: res.Swarm, radio: res.Radio, bm: res.Messenger})
 			if !reflect.DeepEqual(got, want) {
@@ -348,7 +351,7 @@ func TestCheckpointResumeUnderFaultPlan(t *testing.T) {
 // whose stored snapshot disagrees with its replayed inputs must fail
 // with ErrRestoreMismatch instead of resuming a different run.
 func TestCheckpointRestoreMismatch(t *testing.T) {
-	s, err := NewSwarm(ckptTestPositions(), ckptTestOptions(EngineSequential)...)
+	s, err := NewSwarm(ckptTestPositions(), ckptTestOptions()...)
 	if err != nil {
 		t.Fatalf("swarm: %v", err)
 	}
@@ -366,7 +369,7 @@ func TestCheckpointRestoreMismatch(t *testing.T) {
 // TestCheckpointRecheckpoint pins that a restored swarm can itself be
 // checkpointed: the input log is re-seated from genesis.
 func TestCheckpointRecheckpoint(t *testing.T) {
-	s, err := NewSwarm(ckptTestPositions(), ckptTestOptions(EngineSequential)...)
+	s, err := NewSwarm(ckptTestPositions(), ckptTestOptions()...)
 	if err != nil {
 		t.Fatalf("swarm: %v", err)
 	}
@@ -402,7 +405,7 @@ func TestCheckpointRecheckpoint(t *testing.T) {
 // default codec. (The JSON v1 format has no ±Inf, so while it was the
 // default none of them could.) Each restores to the live state.
 func TestCheckpointInfiniteSigma(t *testing.T) {
-	s, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(EngineSequential), WithSigma(math.Inf(1)))...)
+	s, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(), WithSigma(math.Inf(1)))...)
 	if err != nil {
 		t.Fatal(err)
 	}

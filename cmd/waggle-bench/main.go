@@ -213,23 +213,6 @@ func buildScenarios() []scenario {
 		)
 	}
 
-	// Tracker construction (sim.NewTrackerFromConfig): granular radii
-	// plus the attribution index.
-	{
-		n := 512
-		homes := randomPoints(rand.New(rand.NewSource(12)), n)
-		scenarios = append(scenarios,
-			scenario{"tracker-fromconfig/grid", n, func() error {
-				sim.NewTrackerFromConfig(homes)
-				return nil
-			}},
-			scenario{"tracker-fromconfig/brute", n, func() error {
-				sim.NewTracker(homes, spatial.NearestRadiiBrute(homes))
-				return nil
-			}},
-		)
-	}
-
 	// Voronoi diagram construction: grid-pruned half-plane clipping
 	// versus the all-pairs scan, above the pruneMinSites crossover
 	// (below it New itself routes to the scan).

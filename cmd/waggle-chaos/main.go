@@ -4,14 +4,13 @@
 // scenario) swept across the protocols, reporting delivery rate,
 // latency, messenger retry counters, and steps-to-recover.
 //
-// Identical seeds reproduce identical reports, under every engine.
+// Identical seeds reproduce identical reports.
 //
 // Usage:
 //
-//	waggle-chaos                     # all scenarios, automatic engine
+//	waggle-chaos                     # all scenarios
 //	waggle-chaos -scenario jam-ramp  # one scenario
 //	waggle-chaos -seed 7 -csv        # reseeded, machine-readable
-//	waggle-chaos -engine parallel    # force the parallel step engine
 //	waggle-chaos -o report.json      # schema-stable JSON with obs rollups
 //	waggle-chaos -listen :8080       # serve /metrics, /trace, pprof
 //	waggle-chaos -list               # scenario names
@@ -36,7 +35,6 @@ type config struct {
 	scenario string
 	seed     int64
 	csv      bool
-	engine   string
 	list     bool
 	out      string // -o: JSON report path ("-" = stdout)
 	listen   string // -listen: introspection endpoint address
@@ -52,7 +50,6 @@ func main() {
 	flag.StringVar(&cfg.scenario, "scenario", "", "scenario name (empty = all); see -list")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed for schedulers, frames, fault draws and jamming")
 	flag.BoolVar(&cfg.csv, "csv", false, "emit CSV instead of an aligned table")
-	flag.StringVar(&cfg.engine, "engine", "auto", "step engine: auto|sequential|parallel")
 	flag.BoolVar(&cfg.list, "list", false, "list scenario names and exit")
 	flag.StringVar(&cfg.out, "o", "", "write the schema-stable JSON report to this file (- = stdout)")
 	flag.StringVar(&cfg.listen, "listen", "", "serve the observability endpoint (/metrics, /trace, pprof) on this address")
@@ -74,12 +71,8 @@ func run(cfg config) error {
 		}
 		return nil
 	}
-	engine, err := sweep.ParseEngineMode(cfg.engine)
-	if err != nil {
-		return err
-	}
 	if cfg.resumeCheck {
-		return resumeCheck(cfg, engine)
+		return resumeCheck(cfg)
 	}
 	if cfg.scenario != "" {
 		if _, err := sweep.FindChaosScenario(cfg.scenario, cfg.seed); err != nil {
@@ -87,15 +80,15 @@ func run(cfg config) error {
 		}
 	}
 	var obsv *waggle.Observer
-	var stop func()
 	if cfg.listen != "" {
 		obsv = waggle.NewObserver()
-		if stop, err = serveIntrospection(cfg.listen, obsv); err != nil {
+		stop, err := serveIntrospection(cfg.listen, obsv)
+		if err != nil {
 			return err
 		}
 		defer stop()
 	}
-	report, err := sweep.ChaosReportFor(cfg.scenario, cfg.seed, engine, obsv)
+	report, err := sweep.ChaosReportFor(cfg.scenario, cfg.seed, obsv)
 	if err != nil {
 		return err
 	}
@@ -121,7 +114,7 @@ func run(cfg config) error {
 // simulated process death at -kill-at followed by a checkpoint restore
 // — and verifies the movement traces and reports are byte-identical.
 // One scenario can be selected with -scenario; the default sweeps all.
-func resumeCheck(cfg config, engine waggle.EngineMode) error {
+func resumeCheck(cfg config) error {
 	codec, err := waggle.ParseCheckpointCodec(cfg.ckptCodec)
 	if err != nil {
 		return err
@@ -139,11 +132,11 @@ func resumeCheck(cfg config, engine waggle.EngineMode) error {
 		if killAt >= sc.Budget {
 			killAt = sc.Budget / 2
 		}
-		want, err := sweep.RunChaosScenario(sc, engine, true)
+		want, err := sweep.RunChaosScenario(sc, true)
 		if err != nil {
 			return err
 		}
-		got, err := sweep.RunChaosScenarioResumedCodec(sc, engine, killAt, codec)
+		got, err := sweep.RunChaosScenarioResumedCodec(sc, killAt, codec)
 		if err != nil {
 			return err
 		}

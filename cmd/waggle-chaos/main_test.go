@@ -10,32 +10,29 @@ import (
 )
 
 func TestRunOneScenario(t *testing.T) {
-	if err := run(config{scenario: "radio-outage", seed: 1, engine: "auto"}); err != nil {
+	if err := run(config{scenario: "radio-outage", seed: 1}); err != nil {
 		t.Error(err)
 	}
-	if err := run(config{scenario: "displace-sync", seed: 1, csv: true, engine: "sequential"}); err != nil {
+	if err := run(config{scenario: "displace-sync", seed: 1, csv: true}); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestRunList(t *testing.T) {
-	if err := run(config{seed: 1, engine: "auto", list: true}); err != nil {
+	if err := run(config{seed: 1, list: true}); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestRunUnknown(t *testing.T) {
-	if err := run(config{scenario: "nope", seed: 1, engine: "auto"}); err == nil {
+	if err := run(config{scenario: "nope", seed: 1}); err == nil {
 		t.Error("unknown scenario accepted")
-	}
-	if err := run(config{seed: 1, engine: "warp"}); err == nil {
-		t.Error("unknown engine accepted")
 	}
 }
 
 func TestRunJSONReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "report.json")
-	if err := run(config{scenario: "radio-outage", seed: 1, engine: "auto", out: path}); err != nil {
+	if err := run(config{scenario: "radio-outage", seed: 1, out: path}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -60,7 +57,7 @@ func TestRunJSONReport(t *testing.T) {
 func TestServeIntrospection(t *testing.T) {
 	// -listen without block: the endpoint must come up and serve during
 	// the run; run() itself is exercised non-blocking.
-	if err := run(config{scenario: "displace-sync", seed: 1, engine: "auto", listen: "127.0.0.1:0"}); err != nil {
+	if err := run(config{scenario: "displace-sync", seed: 1, listen: "127.0.0.1:0"}); err != nil {
 		t.Error(err)
 	}
 }

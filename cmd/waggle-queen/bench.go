@@ -22,7 +22,6 @@ import (
 type benchReport struct {
 	Schema string `json:"schema"`
 	Seed   int64  `json:"seed"`
-	Engine string `json:"engine"`
 	// CPUs is the host's logical CPU count: on a single-CPU host the
 	// worker processes time-share and speedup necessarily pins near
 	// 1.0 — read the scaling numbers against this.
@@ -54,7 +53,7 @@ type benchKill struct {
 	ReportIdentical bool    `json:"report_identical"`
 }
 
-const benchSchema = "waggle-bench-queen/v1"
+const benchSchema = "waggle-bench-queen/v2"
 
 // benchSweepNames are medium-weight experiments (the second-scale
 // ones; "resolution" alone takes ~50s and would reduce any scaling
@@ -76,12 +75,11 @@ func runBench(cfg config) error {
 	report := benchReport{
 		Schema:     benchSchema,
 		Seed:       cfg.seed,
-		Engine:     "sequential",
 		CPUs:       runtime.NumCPU(),
 		SweepNames: benchSweepNames,
 	}
 
-	chaosSpec := queen.Spec{Kind: "chaos", Seed: cfg.seed, Engine: "sequential", CheckpointEvery: 400}
+	chaosSpec := queen.Spec{Kind: "chaos", Seed: cfg.seed, CheckpointEvery: 400}
 	report.ChaosRuns, err = benchScaling("chaos", chaosSpec, len(sweep.ChaosScenarioNames(cfg.seed)), chaosRef)
 	if err != nil {
 		return err
@@ -96,7 +94,7 @@ func runBench(cfg config) error {
 	report.SweepSpeedup = round3(report.SweepRuns[0].Seconds / report.SweepRuns[1].Seconds)
 
 	kill, err := runDistributed(distOpts{
-		spec:    queen.Spec{Kind: "chaos", Seed: cfg.seed, Engine: "sequential", CheckpointEvery: 80},
+		spec:    queen.Spec{Kind: "chaos", Seed: cfg.seed, CheckpointEvery: 80},
 		workers: 4,
 		stall:   100 * time.Millisecond,
 		ttl:     1500 * time.Millisecond,

@@ -33,7 +33,6 @@ type config struct {
 	campaign  string // -campaign: chaos|sweep
 	names     string // -names: comma-separated shard names (empty = all chaos scenarios)
 	seed      int64
-	engine    string
 	workers   int    // -workers: local worker processes to spawn
 	listen    string // -listen: queen API + observability address
 	out       string // -o: merged report path
@@ -57,7 +56,6 @@ func main() {
 	flag.StringVar(&cfg.campaign, "campaign", "chaos", "campaign kind: chaos|sweep")
 	flag.StringVar(&cfg.names, "names", "", "comma-separated shard names (empty = every chaos scenario)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "campaign seed")
-	flag.StringVar(&cfg.engine, "engine", "auto", "step engine: auto|sequential|parallel")
 	flag.IntVar(&cfg.workers, "workers", 2, "local worker processes to spawn (0 = external workers only)")
 	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:0", "queen API and observability address")
 	flag.StringVar(&cfg.out, "o", "", "write the merged report to this file")
@@ -107,7 +105,6 @@ func specFrom(cfg config) queen.Spec {
 	spec := queen.Spec{
 		Kind:            cfg.campaign,
 		Seed:            cfg.seed,
-		Engine:          cfg.engine,
 		CheckpointEvery: cfg.ckptEvery,
 	}
 	if cfg.names != "" {

@@ -31,7 +31,7 @@ func selfCheck(cfg config) error {
 	fmt.Printf("self-check: single-process reference %s (%d bytes)\n", digest(ref), len(ref))
 
 	res, err := runDistributed(distOpts{
-		spec:    queen.Spec{Kind: "chaos", Seed: cfg.seed, Engine: "sequential", CheckpointEvery: 80},
+		spec:    queen.Spec{Kind: "chaos", Seed: cfg.seed, CheckpointEvery: 80},
 		workers: 4,
 		stall:   150 * time.Millisecond,
 		ttl:     1500 * time.Millisecond,
@@ -58,14 +58,9 @@ func selfCheck(cfg config) error {
 }
 
 // referenceReport renders the single-process chaos report for the full
-// matrix — the oracle every distributed run is compared against. The
-// sequential engine keeps the oracle itself beyond suspicion.
+// matrix — the oracle every distributed run is compared against.
 func referenceReport(seed int64) ([]byte, error) {
-	engine, err := sweep.ParseEngineMode("sequential")
-	if err != nil {
-		return nil, err
-	}
-	report, err := sweep.ChaosReportFor("", seed, engine, nil)
+	report, err := sweep.ChaosReportFor("", seed, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -68,7 +68,7 @@ func main() {
 	flag.IntVar(&cfg.to, "to", 1, "recipient index")
 	flag.StringVar(&cfg.msg, "msg", "HELLO", "message payload")
 	flag.IntVar(&cfg.levels, "levels", 0, "amplitude levels for 2-robot sync coding (power of two)")
-	flag.IntVar(&cfg.bounded, "bounded", 0, "bounded-slice base k (>= 2) for the §5 variant")
+	flag.IntVar(&cfg.bounded, "bounded", 0, "bounded-slice base k (2..n) for the §5 variant")
 	flag.StringVar(&cfg.scheduler, "scheduler", "random", "asynchronous scheduler: random|roundrobin|starver")
 	flag.IntVar(&cfg.budget, "budget", 5_000_000, "maximum time instants")
 	flag.BoolVar(&cfg.quiet, "q", false, "print only the delivery line")
@@ -81,7 +81,7 @@ func main() {
 	flag.StringVar(&cfg.resume, "resume", "", "resume a run from this checkpoint file instead of starting fresh")
 	flag.StringVar(&cfg.stream, "stream", "", "record a waggle-stream/v1 movement stream (appendable, spectatable, crash-tolerant) to this file")
 	flag.StringVar(&cfg.replayStream, "replay-stream", "", "replay and verify a waggle-stream/v1 file instead of running, printing its digests")
-	flag.BoolVar(&cfg.streamCheck, "stream-check", false, "validate the streaming pipeline (engine parity, mid-stream join, kill -9 torn-tail tolerance) and exit")
+	flag.BoolVar(&cfg.streamCheck, "stream-check", false, "validate the streaming pipeline (control digest, mid-stream join, kill -9 torn-tail tolerance) and exit")
 	flag.StringVar(&cfg.streamVictim, "stream-victim", "", "(internal) stream-check victim: stream an unbounded run to this file until killed")
 	flag.Parse()
 	cfg.block = cfg.listen != ""

@@ -43,17 +43,14 @@ func replayStream(path string) error {
 }
 
 // The stream-check runs a fixed 4-robot synchronous configuration:
-// full determinism is what makes the engine-parity and kill -9
+// full determinism is what makes the control-digest and kill -9
 // byte-prefix comparisons meaningful.
 func streamCheckPositions() []waggle.Point {
 	return []waggle.Point{{X: 0, Y: 0}, {X: 14, Y: 0}, {X: 0, Y: 15}, {X: 13, Y: 13}}
 }
 
-func streamCheckOptions(engine waggle.EngineMode) []waggle.Option {
-	return []waggle.Option{
-		waggle.WithSeed(2026), waggle.WithTrace(), waggle.WithSynchronous(),
-		waggle.WithEngine(engine),
-	}
+func streamCheckOptions() []waggle.Option {
+	return []waggle.Option{waggle.WithSeed(2026), waggle.WithTrace(), waggle.WithSynchronous()}
 }
 
 // streamCheckWorkload drives the deterministic check run: periodic
@@ -80,7 +77,7 @@ func streamCheckWorkload(s *waggle.Swarm, steps int) error {
 // re-execs: stream an unbounded run to path until killed.
 func streamVictim(path string) error {
 	s, err := waggle.NewSwarm(streamCheckPositions(),
-		append(streamCheckOptions(waggle.EngineAuto), waggle.WithStream(path))...)
+		append(streamCheckOptions(), waggle.WithStream(path))...)
 	if err != nil {
 		return err
 	}
@@ -100,9 +97,9 @@ func liveTraceDigest(s *waggle.Swarm) (string, error) {
 //
 //  1. attaching a stream does not change the run (digest equality with
 //     an un-streamed control),
-//  2. the stream replays byte-identically under both engines (replayed
-//     and embedded digests equal the live digest; the stream files
-//     themselves are byte-equal),
+//  2. the stream replays to the live run (replayed and embedded
+//     digests equal the live digest; that the bytes are the same on
+//     both of the engine's compute paths is TestStreamReplayDigest's),
 //  3. a spectator joining at the latest keyframe converges to the live
 //     end state, and
 //  4. kill -9 mid-append loses at most the torn tail record: the
@@ -118,7 +115,7 @@ func streamCheck() error {
 	const steps = 1500
 
 	// 1. Un-streamed control.
-	ctl, err := waggle.NewSwarm(streamCheckPositions(), streamCheckOptions(waggle.EngineAuto)...)
+	ctl, err := waggle.NewSwarm(streamCheckPositions(), streamCheckOptions()...)
 	if err != nil {
 		return err
 	}
@@ -130,49 +127,40 @@ func streamCheck() error {
 		return err
 	}
 
-	// 2. Streamed runs under both engines.
-	var files [][]byte
-	for _, engine := range []waggle.EngineMode{waggle.EngineSequential, waggle.EngineParallel} {
-		path := filepath.Join(dir, fmt.Sprintf("engine-%d.wstream", engine))
-		s, err := waggle.NewSwarm(streamCheckPositions(),
-			append(streamCheckOptions(engine), waggle.WithStream(path))...)
-		if err != nil {
-			return err
-		}
-		if err := streamCheckWorkload(s, steps); err != nil {
-			return err
-		}
-		live, err := liveTraceDigest(s)
-		if err != nil {
-			return err
-		}
-		if live != ctlDigest {
-			return fmt.Errorf("stream-check: attaching a stream changed the run: digest %s, control %s", live, ctlDigest)
-		}
-		if err := s.Stream().Close(); err != nil {
-			return err
-		}
-		rep, err := waggle.ReplayStream(path)
-		if err != nil {
-			return err
-		}
-		if rep.Torn || rep.Digest != live || rep.StreamDigest != live {
-			return fmt.Errorf("stream-check: engine %d replay torn=%v digest=%s embedded=%s, want clean %s",
-				engine, rep.Torn, rep.Digest, rep.StreamDigest, live)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		files = append(files, data)
+	// 2. The streamed run.
+	path := filepath.Join(dir, "run.wstream")
+	s, err := waggle.NewSwarm(streamCheckPositions(), append(streamCheckOptions(), waggle.WithStream(path))...)
+	if err != nil {
+		return err
 	}
-	if !bytes.Equal(files[0], files[1]) {
-		return fmt.Errorf("stream-check: stream files differ between engines: %d vs %d bytes",
-			len(files[0]), len(files[1]))
+	if err := streamCheckWorkload(s, steps); err != nil {
+		return err
+	}
+	live, err := liveTraceDigest(s)
+	if err != nil {
+		return err
+	}
+	if live != ctlDigest {
+		return fmt.Errorf("stream-check: attaching a stream changed the run: digest %s, control %s", live, ctlDigest)
+	}
+	if err := s.Stream().Close(); err != nil {
+		return err
+	}
+	rep, err := waggle.ReplayStream(path)
+	if err != nil {
+		return err
+	}
+	if rep.Torn || rep.Digest != live || rep.StreamDigest != live {
+		return fmt.Errorf("stream-check: replay torn=%v digest=%s embedded=%s, want clean %s",
+			rep.Torn, rep.Digest, rep.StreamDigest, live)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
 	}
 
 	// 3. Mid-stream join at the latest keyframe.
-	recs, _, _, err := wire.TailStream(files[0], -1, 0)
+	recs, _, _, err := wire.TailStream(data, -1, 0)
 	if err != nil {
 		return err
 	}
@@ -243,7 +231,7 @@ func streamCheck() error {
 	// uninterrupted — i.e. the kill lost at most the torn tail record.
 	rpath := filepath.Join(dir, "rerun.wstream")
 	rerun, err := waggle.NewSwarm(streamCheckPositions(),
-		append(streamCheckOptions(waggle.EngineAuto), waggle.WithStream(rpath))...)
+		append(streamCheckOptions(), waggle.WithStream(rpath))...)
 	if err != nil {
 		return err
 	}
@@ -262,8 +250,8 @@ func streamCheck() error {
 			cleanEnd, len(rdata))
 	}
 
-	fmt.Printf("stream-check ok: %d-step run streams %d bytes, replays to the control digest under both engines, "+
+	fmt.Printf("stream-check ok: %d-step run streams %d bytes, replays to the control digest, "+
 		"mid-join converges, kill -9 victim kept %d clean records (%d torn tail bytes dropped)\n",
-		steps, len(files[0]), len(vrecs), int64(len(vdata))-cleanEnd)
+		steps, len(data), len(vrecs), int64(len(vdata))-cleanEnd)
 	return nil
 }

@@ -27,7 +27,7 @@ type decoderCase struct {
 	resolution int                 // AsyncN's DirectionResolution, which no Option reaches; 0 builds through NewSwarm
 	place      func() []geom.Point // a hand-built placement of n robots; nil places them at random
 	resend     int                 // when > 0, the same unicasts are queued again every resend instants
-	digest     string              // the same under both engines
+	digest     string              // the same on both compute paths
 }
 
 // decoderCases' digests were recorded before the movement decoder gained
@@ -152,8 +152,8 @@ func secNearTies() []geom.Point {
 	)
 }
 
-// decoderNetwork builds the case's stack under the given engine.
-func decoderNetwork(t *testing.T, c decoderCase, engine EngineMode) *core.Network {
+// decoderNetwork builds the case's stack on the given compute path.
+func decoderNetwork(t *testing.T, c decoderCase, engine sim.EngineMode) *core.Network {
 	t.Helper()
 	var pts []geom.Point
 	if c.place != nil {
@@ -165,13 +165,12 @@ func decoderNetwork(t *testing.T, c decoderCase, engine EngineMode) *core.Networ
 		rng := rand.New(rand.NewSource(int64(len(c.name))*7919 + int64(c.n)))
 		pts = figures.RandomConfiguration(rng, c.n, 12*float64(c.n), 8)
 	}
-	opts := append(append([]Option(nil), c.opts...), WithEngine(engine))
 	if c.resolution == 0 {
 		positions := make([]Point, len(pts))
 		for i, p := range pts {
 			positions[i] = Point{X: p.X, Y: p.Y}
 		}
-		s, err := NewSwarm(positions, opts...)
+		s, err := onEngine(engine)(NewSwarm(positions, c.opts...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +178,7 @@ func decoderNetwork(t *testing.T, c decoderCase, engine EngineMode) *core.Networ
 	}
 	// The facade's AsyncN stack with DirectionResolution set.
 	o := defaultOptions()
-	for _, opt := range opts {
+	for _, opt := range c.opts {
 		opt.apply(&o)
 	}
 	frames := buildFrames(o, c.n)
@@ -197,7 +196,7 @@ func decoderNetwork(t *testing.T, c decoderCase, engine EngineMode) *core.Networ
 	for i := range robots {
 		robots[i] = &sim.Robot{Frame: frames[i], Sigma: o.sigma, Behavior: behaviors[i]}
 	}
-	world, err := sim.NewWorld(sim.Config{Positions: pts, Robots: robots, Engine: buildEngine(o)})
+	world, err := sim.NewWorld(sim.Config{Positions: pts, Robots: robots, Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +209,7 @@ func decoderNetwork(t *testing.T, c decoderCase, engine EngineMode) *core.Networ
 
 // decoderDigest runs the case and returns the SHA-256 of its deliveries
 // and final positions, with the number of deliveries.
-func decoderDigest(t *testing.T, c decoderCase, engine EngineMode) (string, int) {
+func decoderDigest(t *testing.T, c decoderCase, engine sim.EngineMode) (string, int) {
 	t.Helper()
 	net := decoderNetwork(t, c, engine)
 	if err := net.Step(); err != nil {
@@ -271,12 +270,13 @@ func decoderDigest(t *testing.T, c decoderCase, engine EngineMode) (string, int)
 }
 
 // TestDecoderDigest pins the movement decoder's output bits on larger
-// swarms than the golden files cover, under both engines: the chat-async
-// stack, SyncN under Lex, IDs and SEC naming (stabilizing too), the
-// bounded-slice variant, AsyncN with a limited direction resolution,
-// left-handed frames, and SEC namings with shared radii, a robot at the
-// SEC centre, and near-ties. `make race-repeat` runs its parallel
-// subtest, where the robots of a swarm decode concurrently.
+// swarms than the golden files cover, on both of the engine's compute
+// paths: the chat-async stack, SyncN under Lex, IDs and SEC naming
+// (stabilizing too), the bounded-slice variant, AsyncN with a limited
+// direction resolution, left-handed frames, and SEC namings with shared
+// radii, a robot at the SEC centre, and near-ties. `make race-repeat`
+// runs its parallel subtest, where the robots of a swarm decode
+// concurrently.
 func TestDecoderDigest(t *testing.T) {
 	runDecoderDigests(t, decoderCases)
 }
@@ -289,8 +289,8 @@ func TestDecoderDigestLarge(t *testing.T) {
 func runDecoderDigests(t *testing.T, cases []decoderCase) {
 	for _, engine := range []struct {
 		name string
-		mode EngineMode
-	}{{"sequential", EngineSequential}, {"parallel", EngineParallel}} {
+		mode sim.EngineMode
+	}{{"sequential", sim.EngineSequential}, {"parallel", sim.EngineParallel}} {
 		t.Run(engine.name, func(t *testing.T) {
 			for _, c := range cases {
 				t.Run(c.name, func(t *testing.T) {

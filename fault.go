@@ -63,8 +63,8 @@ type FaultEvent struct {
 // FaultPlan is a declarative, deterministic schedule of fault events
 // applied to a swarm's execution. The randomness of noise, dropped
 // sightings and movement errors is keyed by the swarm seed (WithSeed):
-// equal seeds and plans reproduce byte-identical executions, under the
-// sequential and parallel engines alike.
+// equal seeds and plans reproduce byte-identical executions, on the
+// step engine's sequential and parallel compute paths alike.
 type FaultPlan struct {
 	Events []FaultEvent
 }

@@ -80,9 +80,10 @@ func recordGoldenFrames(t *testing.T) (chain, stream []byte) {
 // TestGoldenReplayFrames pins the bytes of the framed formats: a fresh
 // recording of the golden stack reproduces the committed delta chain
 // and movement stream byte for byte, and re-encoding the committed
-// binary checkpoint reproduces its file. A failure means the frame
-// layout or a body codec drifted; regenerate with -update-golden only
-// for an intentional format change.
+// binary checkpoint reproduces its file — reserved engine slot (1, from
+// a build that still recorded the engine) included. A failure means
+// the frame layout or a body codec drifted; regenerate with
+// -update-golden only for an intentional format change.
 func TestGoldenReplayFrames(t *testing.T) {
 	chain, stream := recordGoldenFrames(t)
 	if *updateGolden {

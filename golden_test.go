@@ -5,7 +5,22 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"waggle/internal/sim"
 )
+
+// onEngine forces a swarm's step engine onto one compute path through
+// the simulator's hook; swarms built by NewSwarm always run the
+// adaptive sim.EngineAuto. It is curried to take NewSwarm's results:
+// onEngine(m)(NewSwarm(...)).
+func onEngine(m sim.EngineMode) func(*Swarm, error) (*Swarm, error) {
+	return func(s *Swarm, err error) (*Swarm, error) {
+		if err == nil {
+			s.net.World().SetEngine(m)
+		}
+		return s, err
+	}
+}
 
 // TestGoldenRun pins a full end-to-end execution: same options, same
 // seed must yield bit-identical deliveries, step counts, and final
@@ -123,16 +138,16 @@ func TestRandomizedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGoldenEngineParity is the acceptance gate for the step-engine
-// modes: the same seed and scheduler must produce a byte-for-byte
-// identical execution — step count, every recorded move, every final
-// position — whether the moves are computed sequentially, over the
-// worker pool, or under EngineAuto's size-dependent dispatch.
+// TestGoldenEngineParity is the acceptance gate for the step engine's
+// compute paths: the same seed and scheduler must produce a
+// byte-for-byte identical execution — step count, every recorded move,
+// every final position — whether the moves are computed sequentially,
+// over the worker pool, or under EngineAuto's size-dependent dispatch.
 func TestGoldenEngineParity(t *testing.T) {
 	positions := []Point{{X: 0, Y: 0}, {X: 24, Y: 6}, {X: 10, Y: 28}, {X: 30, Y: 30}, {X: -20, Y: 14}, {X: 8, Y: -22}}
-	runWith := func(mode EngineMode) (*Swarm, int) {
+	runWith := func(mode sim.EngineMode) (*Swarm, int) {
 		t.Helper()
-		s, err := NewSwarm(positions, WithSeed(4242), WithTrace(), WithEngine(mode))
+		s, err := onEngine(mode)(NewSwarm(positions, WithSeed(4242), WithTrace()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,12 +166,12 @@ func TestGoldenEngineParity(t *testing.T) {
 		}
 		return s, steps
 	}
-	seq, seqSteps := runWith(EngineSequential)
+	seq, seqSteps := runWith(sim.EngineSequential)
 	var seqTrace bytes.Buffer
 	if err := seq.WriteTraceCSV(&seqTrace); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []EngineMode{EngineParallel, EngineAuto} {
+	for _, mode := range []sim.EngineMode{sim.EngineParallel, sim.EngineAuto} {
 		other, otherSteps := runWith(mode)
 		if seqSteps != otherSteps {
 			t.Fatalf("step counts diverged: sequential %d, %v %d", seqSteps, mode, otherSteps)

@@ -61,7 +61,9 @@ type Config struct {
 }
 
 // Options mirrors the facade's resolved option set field by field, in
-// JSON-stable form.
+// JSON-stable form. Engine is reserved: older builds recorded their
+// step-engine mode there. New captures write 0, and restore ignores it,
+// so old files still decode, re-encode byte for byte and restore.
 type Options struct {
 	Synchronous      bool               `json:"synchronous,omitempty"`
 	Identified       bool               `json:"identified,omitempty"`

@@ -31,8 +31,7 @@ func (c *RadiiCache) Radii(pts []geom.Point) []float64 {
 		return granularRadii(pts)
 	}
 	if c.dyn == nil {
-		c.dyn = spatial.NewDynamicRadii(pts)
-		return append([]float64(nil), c.dyn.Radii()...)
+		c.dyn = new(spatial.DynamicRadii)
 	}
 	return append([]float64(nil), c.dyn.Update(pts)...)
 }

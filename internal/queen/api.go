@@ -30,7 +30,6 @@ type LeaseResponse struct {
 	Token           string `json:"token,omitempty"`
 	Kind            string `json:"kind,omitempty"`
 	Seed            int64  `json:"seed,omitempty"`
-	Engine          string `json:"engine,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
 	TTLMillis       int64  `json:"ttl_ms,omitempty"`
 	Snapshot        []byte `json:"snapshot,omitempty"`

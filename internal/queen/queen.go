@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"waggle"
 	"waggle/internal/ckpt"
 	"waggle/internal/obs"
 	"waggle/internal/retry"
@@ -41,9 +40,6 @@ type Spec struct {
 	Kind string `json:"kind"`
 	// Seed keys chaos scenario generation and the merged report.
 	Seed int64 `json:"seed"`
-	// Engine is the report-schema engine name ("", "auto",
-	// "sequential", "parallel").
-	Engine string `json:"engine,omitempty"`
 	// Names lists the shards. Empty selects every chaos scenario;
 	// sweep campaigns must name their experiments.
 	Names []string `json:"names,omitempty"`
@@ -122,16 +118,12 @@ func (o Options) withDefaults() Options {
 	if o.Spec.CheckpointEvery <= 0 {
 		o.Spec.CheckpointEvery = 200
 	}
-	if o.Spec.Engine == "" {
-		o.Spec.Engine = "auto"
-	}
 	return o
 }
 
 // Queen coordinates one campaign.
 type Queen struct {
-	opts   Options
-	engine waggle.EngineMode
+	opts Options
 
 	mu       sync.Mutex
 	shards   map[string]*shard
@@ -156,10 +148,6 @@ type Queen struct {
 // arm the lease reaper and Mount to expose the worker API.
 func New(opts Options, ob *obs.Observer) (*Queen, error) {
 	opts = opts.withDefaults()
-	engine, err := sweep.ParseEngineMode(opts.Spec.Engine)
-	if err != nil {
-		return nil, err
-	}
 	names, err := shardNames(opts.Spec)
 	if err != nil {
 		return nil, err
@@ -169,7 +157,6 @@ func New(opts Options, ob *obs.Observer) (*Queen, error) {
 	}
 	q := &Queen{
 		opts:    opts,
-		engine:  engine,
 		shards:  map[string]*shard{},
 		order:   names,
 		rng:     rand.New(rand.NewSource(opts.Spec.Seed ^ 0x5eed)),
@@ -238,13 +225,7 @@ func NewFromJournal(path string, opts Options, ob *obs.Observer) (*Queen, error)
 }
 
 func specEqual(a, b Spec) bool {
-	if a.Kind != b.Kind || a.Seed != b.Seed {
-		return false
-	}
-	if a.Engine != "" && a.Engine != b.Engine {
-		return false
-	}
-	return true
+	return a.Kind == b.Kind && a.Seed == b.Seed
 }
 
 // shardNames derives and validates the campaign's shard list.
@@ -451,7 +432,6 @@ func (q *Queen) lease(worker string) (grant *LeaseResponse, wait time.Duration, 
 			Token:           sh.token,
 			Kind:            q.opts.Spec.Kind,
 			Seed:            q.opts.Spec.Seed,
-			Engine:          q.opts.Spec.Engine,
 			CheckpointEvery: q.opts.Spec.CheckpointEvery,
 			TTLMillis:       q.opts.LeaseTTL.Milliseconds(),
 			Snapshot:        sh.snapshot,
@@ -603,7 +583,7 @@ func (q *Queen) buildReport() ([]byte, error) {
 		if len(names) == 0 {
 			names = nil
 		}
-		report, err := sweep.MergeChaosReport(q.opts.Spec.Seed, q.engine, names, results)
+		report, err := sweep.MergeChaosReport(q.opts.Spec.Seed, names, results)
 		if err != nil {
 			return nil, err
 		}

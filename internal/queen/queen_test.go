@@ -12,10 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"waggle"
 	"waggle/internal/obs"
 	"waggle/internal/retry"
 	"waggle/internal/sweep"
+	"waggle/internal/wire"
 )
 
 // fastRequeue keeps test requeues instant.
@@ -31,13 +31,13 @@ func chaosReference(t *testing.T, seed int64, names []string) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := sweep.RunChaosScenarioObserved(sc, waggle.EngineSequential, false, nil)
+		r, err := sweep.RunChaosScenarioObserved(sc, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		results[name] = *r
 	}
-	report, err := sweep.MergeChaosReport(seed, waggle.EngineSequential, names, results)
+	report, err := sweep.MergeChaosReport(seed, names, results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCampaignMergeByteIdentity(t *testing.T) {
 	names := []string{"crash-sync", "radio-outage", "combined"}
 	out := filepath.Join(t.TempDir(), "report.json")
 	q, err := New(Options{
-		Spec: Spec{Kind: "chaos", Seed: 1, Engine: "sequential", Names: names},
+		Spec: Spec{Kind: "chaos", Seed: 1, Names: names},
 		Out:  out,
 	}, nil)
 	if err != nil {
@@ -280,7 +280,7 @@ func TestJournalRestartResumes(t *testing.T) {
 	out := filepath.Join(dir, "report.json")
 
 	q1, err := New(Options{
-		Spec:    Spec{Kind: "chaos", Seed: 1, Engine: "sequential", Names: names},
+		Spec:    Spec{Kind: "chaos", Seed: 1, Names: names},
 		Journal: journal,
 		Out:     out,
 	}, nil)
@@ -340,7 +340,7 @@ func TestJournalRestartAfterCompletion(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "queen.journal")
 	q1, err := New(Options{
-		Spec:    Spec{Kind: "chaos", Seed: 1, Engine: "sequential", Names: names},
+		Spec:    Spec{Kind: "chaos", Seed: 1, Names: names},
 		Journal: journal,
 	}, nil)
 	if err != nil {
@@ -369,6 +369,39 @@ func TestJournalRestartAfterCompletion(t *testing.T) {
 	}
 }
 
+// TestJournalRestartIgnoresEngine: journals written by builds that
+// still let a campaign pick its step engine carry an "engine" key in
+// their campaign spec. Such a journal restarts, and merges the
+// single-process report (the engine never changed a result).
+func TestJournalRestartIgnoresEngine(t *testing.T) {
+	names := []string{"crash-sync"}
+	journal := filepath.Join(t.TempDir(), "queen.journal")
+	var data []byte
+	for _, body := range []string{
+		`{"ev":"campaign","spec":{"kind":"chaos","seed":1,"engine":"sequential","names":["crash-sync"]}}`,
+		`{"ev":"done","shard":"crash-sync","result":` + string(mustResult(t, "crash-sync")) + `}`,
+	} {
+		frame, _ := wire.EncodeFrame(wire.JournalFormat.Next, 0, []byte(body))
+		data = append(data, frame...)
+	}
+	if err := os.WriteFile(journal, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewFromJournal(journal, Options{Spec: Spec{Kind: "chaos", Seed: 1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Stop()
+	select {
+	case <-q.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("finished journal did not resume as done")
+	}
+	if want := chaosReference(t, 1, names); !bytes.Equal(q.Report(), want) {
+		t.Fatalf("report from the old journal differs\n got: %s\nwant: %s", q.Report(), want)
+	}
+}
+
 // mustResult computes one scenario's canonical result as its JSON
 // completion payload.
 func mustResult(t *testing.T, name string) json.RawMessage {
@@ -377,7 +410,7 @@ func mustResult(t *testing.T, name string) json.RawMessage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sweep.RunChaosScenarioObserved(sc, waggle.EngineSequential, false, nil)
+	r, err := sweep.RunChaosScenarioObserved(sc, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +427,7 @@ func mustResult(t *testing.T, name string) json.RawMessage {
 // queen keeps answering leases.
 func TestShardSecondsIgnoresWorkerNames(t *testing.T) {
 	ob := obs.New(16)
-	q, err := New(Options{Spec: Spec{Kind: "chaos", Seed: 1, Engine: "sequential",
+	q, err := New(Options{Spec: Spec{Kind: "chaos", Seed: 1,
 		Names: []string{"crash-sync", "radio-outage", "combined"}}}, ob)
 	if err != nil {
 		t.Fatal(err)

@@ -115,15 +115,11 @@ func (w *worker) runChaosShard(lr *LeaseResponse) error {
 	if err != nil {
 		return w.fail(lr, err.Error())
 	}
-	engine, err := sweep.ParseEngineMode(lr.Engine)
-	if err != nil {
-		return w.fail(lr, err.Error())
-	}
 	var run *sweep.ChaosShardRun
 	if len(lr.Snapshot) > 0 {
-		run, err = sweep.ResumeChaosShardRun(sc, engine, lr.Snapshot)
+		run, err = sweep.ResumeChaosShardRun(sc, lr.Snapshot)
 	} else {
-		run, err = sweep.NewChaosShardRun(sc, engine)
+		run, err = sweep.NewChaosShardRun(sc)
 	}
 	if err != nil {
 		return w.fail(lr, err.Error())

@@ -40,7 +40,6 @@ type CreateRequest struct {
 	Protocol         string       `json:"protocol,omitempty"`
 	Scheduler        string       `json:"scheduler,omitempty"`
 	ActivationProb   float64      `json:"activation_prob,omitempty"`
-	Engine           string       `json:"engine,omitempty"`
 	Levels           int          `json:"levels,omitempty"`
 	BoundedSlices    int          `json:"bounded_slices,omitempty"`
 }
@@ -868,15 +867,6 @@ func buildSwarmOptions(req CreateRequest) ([]waggle.Option, error) {
 		opts = append(opts, waggle.WithScheduler(waggle.SchedulerRoundRobin))
 	default:
 		return nil, fmt.Errorf("unknown scheduler %q (random|roundrobin)", req.Scheduler)
-	}
-	switch req.Engine {
-	case "", "auto":
-	case "sequential":
-		opts = append(opts, waggle.WithEngine(waggle.EngineSequential))
-	case "parallel":
-		opts = append(opts, waggle.WithEngine(waggle.EngineParallel))
-	default:
-		return nil, fmt.Errorf("unknown engine %q (auto|sequential|parallel)", req.Engine)
 	}
 	return opts, nil
 }

@@ -432,6 +432,25 @@ func TestObserveLongPoll(t *testing.T) {
 	}
 }
 
+// TestCreateIgnoresEngine: clients written when a session could pick
+// its step engine still send "engine". The key names no field any
+// more; encoding/json ignores it, and the session steps.
+func TestCreateIgnoresEngine(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	body := json.RawMessage(`{"positions":[[0,0],[10,0]],"synchronous":true,"seed":3,"engine":"parallel"}`)
+	var created CreateResponse
+	if status, _ := do(t, "POST", ts.URL+"/v1/sessions", body, &created); status != http.StatusCreated {
+		t.Fatalf("create with an engine key: status %d", status)
+	}
+	var step StepResponse
+	if status, _ := do(t, "POST", ts.URL+"/v1/sessions/"+created.ID+"/step", StepRequest{Steps: 3}, &step); status != http.StatusOK {
+		t.Fatalf("step: status %d", status)
+	}
+	if step.Time != 3 {
+		t.Fatalf("session at t=%d after 3 steps", step.Time)
+	}
+}
+
 // TestValidation pins the 400 paths.
 func TestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxRobots: 8})
@@ -440,10 +459,12 @@ func TestValidation(t *testing.T) {
 		{Positions: [][2]float64{{0, 0}}},
 		{Positions: make([][2]float64, 9)},
 		{Positions: [][2]float64{{0, 0}, {1, 0}}, Protocol: "nope"},
-		{Positions: [][2]float64{{0, 0}, {1, 0}}, Engine: "warp"},
 		{Positions: [][2]float64{{0, 0}, {1, 0}}, Scheduler: "starver"},
 		{Positions: [][2]float64{{0, 0}, {1, 0}}, Sigma: -1},
 		{Positions: [][2]float64{{0, 0}, {1, 0}}, ActivationProb: 1.5},
+		// A bounded-slice base above the robot count only widens the
+		// sector table the first step fills (about 32 B per unit of k).
+		{Positions: [][2]float64{{0, 0}, {10, 0}, {0, 10}, {10, 10}}, BoundedSlices: 1 << 30},
 	}
 	for i, c := range cases {
 		if status, _ := do(t, "POST", ts.URL+"/v1/sessions", c, nil); status != http.StatusBadRequest {

@@ -81,7 +81,10 @@ type cellBatch struct {
 }
 
 // SetEngine switches the step-engine mode. Safe between steps; the mode
-// never changes the computed execution, only how it is computed.
+// never changes the computed execution, only how it is computed. The
+// waggle facade never calls it (every swarm runs EngineAuto): it is the
+// hook through which the parity tests and cmd/waggle-bench force one
+// compute path.
 func (w *World) SetEngine(m EngineMode) { w.engine = m }
 
 // Engine returns the current step-engine mode.

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"waggle/internal/geom"
-)
+import "testing"
 
 func TestSynchronousActivatesAll(t *testing.T) {
 	s := Synchronous{}
@@ -110,76 +106,6 @@ func TestAlternator(t *testing.T) {
 	}
 	if got := s.Next(1, 1); len(got) != 1 || got[0] != 0 {
 		t.Errorf("n=1 odd instant = %v, want [0]", got)
-	}
-}
-
-func TestTrackerIdentify(t *testing.T) {
-	homes := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(0, 10)}
-	tr := NewTrackerFromConfig(homes)
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tr.Len())
-	}
-	// Granular radii: half of nearest-neighbour distances (10) = 5.
-	for i := 0; i < 3; i++ {
-		if !geom.ApproxEq(tr.Radius(i), 5) {
-			t.Errorf("radius %d = %v, want 5", i, tr.Radius(i))
-		}
-	}
-	tests := []struct {
-		name string
-		p    geom.Point
-		want int
-	}{
-		{"at home 0", geom.Pt(0, 0), 0},
-		{"inside granular 1", geom.Pt(8, 1), 1},
-		{"inside granular 2", geom.Pt(1, 12), 2},
-	}
-	for _, tt := range tests {
-		got, err := tr.Identify(tt.p)
-		if err != nil {
-			t.Fatalf("%s: %v", tt.name, err)
-		}
-		if got != tt.want {
-			t.Errorf("%s: Identify = %d, want %d", tt.name, got, tt.want)
-		}
-	}
-	if _, err := tr.Identify(geom.Pt(50, 50)); err == nil {
-		t.Error("point outside every granular must not be identified")
-	}
-}
-
-func TestChangeCounter(t *testing.T) {
-	c := NewChangeCounter(2, 1e-6)
-	// First observation is the baseline, not a change.
-	if got := c.Observe(0, geom.Pt(0, 0)); got != 0 {
-		t.Errorf("baseline counted as change: %d", got)
-	}
-	if got := c.Observe(0, geom.Pt(0, 0)); got != 0 {
-		t.Errorf("no-move counted as change: %d", got)
-	}
-	if got := c.Observe(0, geom.Pt(1, 0)); got != 1 {
-		t.Errorf("first change: count = %d, want 1", got)
-	}
-	if got := c.Observe(0, geom.Pt(1, 0)); got != 1 {
-		t.Errorf("steady position increments count: %d", got)
-	}
-	if got := c.Observe(0, geom.Pt(2, 0)); got != 2 {
-		t.Errorf("second change: count = %d, want 2", got)
-	}
-	c.Observe(1, geom.Pt(5, 5))
-	if c.AllAtLeast(2, -1) {
-		t.Error("AllAtLeast(2) should fail: robot 1 has no changes")
-	}
-	if !c.AllAtLeast(2, 1) {
-		t.Error("AllAtLeast(2, skip=1) should succeed")
-	}
-	c.Reset()
-	if c.Count(0) != 0 {
-		t.Errorf("Reset did not clear counts: %d", c.Count(0))
-	}
-	// After Reset the next observation is a fresh baseline.
-	if got := c.Observe(0, geom.Pt(9, 9)); got != 0 {
-		t.Errorf("post-reset baseline counted as change: %d", got)
 	}
 }
 

@@ -45,13 +45,15 @@ var _ Behavior = BehaviorFunc(nil)
 
 // View is what an activated robot perceives: the instantaneous positions
 // of all robots expressed in its own frame. In the default dense layout,
-// positions are index-aligned with the world's robot slice; protocols
-// that model *anonymous* robots must not treat the index as an identity
-// — they re-identify robots geometrically (see Tracker). Self is the
-// observer's own slot, which every robot trivially knows (its own
-// position is the local origin). In a *compact* view
-// (World.SetCompactViews), Points holds only the robots inside the
-// sensor disc and Indices maps slots back to robot indices.
+// positions are index-aligned with the world's robot slice, and the
+// anonymous protocols use that slot index as the robot across
+// activations. That stands in for the paper's geometric
+// re-identification, and equals it while every robot stays inside its
+// granular (DESIGN.md §3). Self is the observer's own slot, which
+// every robot trivially knows (its own position is the local origin).
+// In a *compact* view (World.SetCompactViews), Points holds only the
+// robots inside the sensor disc and Indices maps slots back to robot
+// indices.
 type View struct {
 	// Time is the index of the current instant.
 	Time int

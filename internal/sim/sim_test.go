@@ -406,25 +406,6 @@ func TestTraceAccessors(t *testing.T) {
 	}
 }
 
-func TestTrackerDirect(t *testing.T) {
-	tr := NewTracker([]geom.Point{geom.Pt(0, 0), geom.Pt(10, 0)}, []float64{2, 2})
-	if tr.Home(1) != geom.Pt(10, 0) {
-		t.Errorf("Home = %v", tr.Home(1))
-	}
-	if tr.Radius(0) != 2 {
-		t.Errorf("Radius = %v", tr.Radius(0))
-	}
-	got, err := tr.Identify(geom.Pt(9, 1))
-	if err != nil || got != 1 {
-		t.Errorf("Identify = %d, %v", got, err)
-	}
-	// Single-home tracker defaults to radius 1.
-	single := NewTrackerFromConfig([]geom.Point{geom.Pt(5, 5)})
-	if single.Radius(0) != 0.5 {
-		t.Errorf("single-home radius = %v", single.Radius(0))
-	}
-}
-
 func TestSchedulerEdgeCases(t *testing.T) {
 	// Starver with a negative victim clamps to robot 0.
 	s := Starver{Victim: -3, Delay: 2}

@@ -18,7 +18,8 @@ const dynRebuildFraction = 0.25
 // always bit-identical to NearestRadii on the same slice: recomputation
 // uses the same grid NearestTo arithmetic, and an untouched radius is
 // the min over a candidate set whose members within the critical
-// distance did not move.
+// distance did not move. The zero value is ready: its first Update
+// computes every radius.
 type DynamicRadii struct {
 	pts   []geom.Point // owned copy, referenced by grid
 	radii []float64
@@ -26,24 +27,12 @@ type DynamicRadii struct {
 	moved []int32
 }
 
-// NewDynamicRadii computes the radii of pts and returns a tracker
-// primed for incremental updates. The slice is copied.
-func NewDynamicRadii(pts []geom.Point) *DynamicRadii {
-	d := &DynamicRadii{pts: append([]geom.Point(nil), pts...)}
-	d.full()
-	return d
-}
-
-// Radii returns the current radii, index-aligned with the points of the
-// last Update. The slice is shared: callers must not mutate it and must
-// copy what they keep across Updates.
-func (d *DynamicRadii) Radii() []float64 { return d.radii }
-
-// Update moves the tracked set to pts and returns the refreshed radii,
-// bit-identical to NearestRadii(pts). Cost is proportional to the
-// number of moved points (plus a linear dirty-disc scan) when under
-// dynRebuildFraction of the set moved, and one full recomputation
-// otherwise.
+// Update moves the tracked set to pts (copying it) and returns the
+// refreshed radii, bit-identical to NearestRadii(pts). The returned
+// slice is shared: callers must not mutate it and must copy what they
+// keep across Updates. Cost is proportional to the number of moved
+// points (plus a linear dirty-disc scan) when under dynRebuildFraction
+// of the set moved, and one full recomputation otherwise.
 func (d *DynamicRadii) Update(pts []geom.Point) []float64 {
 	if len(pts) != len(d.pts) {
 		d.pts = append(d.pts[:0], pts...)

@@ -201,10 +201,9 @@ func TestDynamicRadiiMatchesBrute(t *testing.T) {
 			for i := range pts {
 				pts[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 			}
-			d := NewDynamicRadii(pts)
-			check := func(stage string) {
+			var d DynamicRadii
+			check := func(stage string, got []float64) {
 				t.Helper()
-				got := d.Radii()
 				want := NearestRadiiBrute(pts)
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d radii, want %d", stage, len(got), len(want))
@@ -215,7 +214,7 @@ func TestDynamicRadiiMatchesBrute(t *testing.T) {
 					}
 				}
 			}
-			check("initial")
+			check("initial", d.Update(pts))
 			rounds := 25
 			if n > 1000 {
 				rounds = 8
@@ -235,13 +234,11 @@ func TestDynamicRadiiMatchesBrute(t *testing.T) {
 						}
 					}
 				}
-				d.Update(pts)
-				check(fmt.Sprintf("round %d", round))
+				check(fmt.Sprintf("round %d", round), d.Update(pts))
 			}
 			// Length change forces the full path.
 			pts = append(pts, geom.Pt(-3, -7))
-			d.Update(pts)
-			check("grown")
+			check("grown", d.Update(pts))
 		})
 	}
 }

@@ -8,7 +8,7 @@
 // Every scenario is deterministic: the swarm seed keys the scheduler,
 // the frames, every randomized fault draw (splitmix64, not stream
 // state) and the radio jamming, so identical seeds reproduce identical
-// reports — under the sequential and the parallel engine alike.
+// reports.
 package sweep
 
 import (
@@ -315,11 +315,11 @@ func FindChaosScenario(name string, seed int64) (ChaosScenario, error) {
 	return ChaosScenario{}, fmt.Errorf("chaos: unknown scenario %q (try: %v)", name, names)
 }
 
-// RunChaosScenario executes one scenario under the given engine. With
-// trace set, the full movement trace is captured into the result (for
-// the byte-identical determinism checks).
-func RunChaosScenario(sc ChaosScenario, engine waggle.EngineMode, trace bool) (*ChaosResult, error) {
-	return runChaos(sc, engine, trace, nil)
+// RunChaosScenario executes one scenario. With trace set, the full
+// movement trace is captured into the result (for the byte-identical
+// determinism checks).
+func RunChaosScenario(sc ChaosScenario, trace bool) (*ChaosResult, error) {
+	return runChaos(sc, trace, nil)
 }
 
 // RunChaosScenarioObserved executes one scenario with the given
@@ -327,12 +327,12 @@ func RunChaosScenario(sc ChaosScenario, engine waggle.EngineMode, trace bool) (*
 // rollup with the counters the run incremented. Passing a shared
 // observer accumulates across scenarios — the rollup is still
 // per-scenario, computed as a before/after counter diff.
-func RunChaosScenarioObserved(sc ChaosScenario, engine waggle.EngineMode, trace bool, o *waggle.Observer) (*ChaosResult, error) {
+func RunChaosScenarioObserved(sc ChaosScenario, trace bool, o *waggle.Observer) (*ChaosResult, error) {
 	if o == nil {
 		o = waggle.NewObserver()
 	}
 	before := o.DeterministicSnapshot()
-	res, err := runChaos(sc, engine, trace, o)
+	res, err := runChaos(sc, trace, o)
 	if err != nil {
 		return nil, err
 	}
@@ -372,10 +372,10 @@ func (r *chaosRun) fail(err error) error {
 	return fmt.Errorf("chaos %s: %w", r.sc.Name, err)
 }
 
-func newChaosRun(sc ChaosScenario, engine waggle.EngineMode, trace bool, obsv *waggle.Observer) (*chaosRun, error) {
+func newChaosRun(sc ChaosScenario, trace bool, obsv *waggle.Observer) (*chaosRun, error) {
 	n := len(sc.Positions)
 	r := &chaosRun{sc: sc, trace: trace}
-	opts := []waggle.Option{waggle.WithSeed(sc.Seed), waggle.WithEngine(engine)}
+	opts := []waggle.Option{waggle.WithSeed(sc.Seed)}
 	if obsv != nil {
 		opts = append(opts, waggle.WithObserver(obsv))
 	}
@@ -542,8 +542,8 @@ func (r *chaosRun) result() (*ChaosResult, error) {
 	return res, nil
 }
 
-func runChaos(sc ChaosScenario, engine waggle.EngineMode, trace bool, obsv *waggle.Observer) (*ChaosResult, error) {
-	r, err := newChaosRun(sc, engine, trace, obsv)
+func runChaos(sc ChaosScenario, trace bool, obsv *waggle.Observer) (*ChaosResult, error) {
+	r, err := newChaosRun(sc, trace, obsv)
 	if err != nil {
 		return nil, err
 	}
@@ -563,11 +563,11 @@ func runChaos(sc ChaosScenario, engine waggle.EngineMode, trace bool, obsv *wagg
 // codec, the result — including the byte-identical movement trace —
 // must equal RunChaosScenario's; the chaos determinism tests and
 // waggle-chaos -resume-check enforce exactly that.
-func RunChaosScenarioResumedCodec(sc ChaosScenario, engine waggle.EngineMode, killAt int, codec waggle.CheckpointCodec) (*ChaosResult, error) {
+func RunChaosScenarioResumedCodec(sc ChaosScenario, killAt int, codec waggle.CheckpointCodec) (*ChaosResult, error) {
 	if killAt < 0 || killAt > sc.Budget {
 		return nil, fmt.Errorf("chaos %s: kill instant %d outside run budget %d", sc.Name, killAt, sc.Budget)
 	}
-	r, err := newChaosRun(sc, engine, true, nil)
+	r, err := newChaosRun(sc, true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -611,7 +611,7 @@ func RunChaosScenarioResumedCodec(sc ChaosScenario, engine waggle.EngineMode, ki
 		if err != nil {
 			return nil, r.fail(err)
 		}
-		res, err := waggle.Restore(loaded, waggle.RestoreWithEngine(engine))
+		res, err := waggle.Restore(loaded)
 		if err != nil {
 			return nil, r.fail(err)
 		}
@@ -624,10 +624,10 @@ func RunChaosScenarioResumedCodec(sc ChaosScenario, engine waggle.EngineMode, ki
 }
 
 // ChaosTable runs every scenario and formats the report.
-func ChaosTable(seed int64, engine waggle.EngineMode) (*render.Table, error) {
+func ChaosTable(seed int64) (*render.Table, error) {
 	var results []ChaosResult
 	for _, sc := range ChaosScenarios(seed) {
-		r, err := RunChaosScenario(sc, engine, false)
+		r, err := RunChaosScenario(sc, false)
 		if err != nil {
 			return nil, err
 		}
@@ -636,6 +636,5 @@ func ChaosTable(seed int64, engine waggle.EngineMode) (*render.Table, error) {
 	return ChaosResultTable(results), nil
 }
 
-// Chaos is the sweep-registry entry: the full scenario table at seed 1
-// under the automatic engine.
-func Chaos() (*render.Table, error) { return ChaosTable(1, waggle.EngineAuto) }
+// Chaos is the sweep-registry entry: the full scenario table at seed 1.
+func Chaos() (*render.Table, error) { return ChaosTable(1) }

@@ -10,51 +10,16 @@ import (
 // TestChaosTableDeterministic: two runs of the full scenario table at
 // the same seed produce byte-identical CSV reports.
 func TestChaosTableDeterministic(t *testing.T) {
-	a, err := ChaosTable(1, waggle.EngineAuto)
+	a, err := ChaosTable(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ChaosTable(1, waggle.EngineAuto)
+	b, err := ChaosTable(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.CSV() != b.CSV() {
 		t.Errorf("chaos reports differ between identical runs:\n%s\nvs\n%s", a.CSV(), b.CSV())
-	}
-}
-
-// TestChaosEngineIndependence: the sequential and the parallel engine
-// produce byte-identical movement traces and identical reports for the
-// same scenario and seed — fault injection included. Run with -race
-// this also exercises the concurrent PerturbView path.
-func TestChaosEngineIndependence(t *testing.T) {
-	for _, name := range []string{"crash-sync", "combined"} {
-		var sc ChaosScenario
-		found := false
-		for _, c := range ChaosScenarios(1) {
-			if c.Name == name {
-				sc, found = c, true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("scenario %q missing", name)
-		}
-		seq, err := RunChaosScenario(sc, waggle.EngineSequential, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := RunChaosScenario(sc, waggle.EngineParallel, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.TraceCSV == "" || seq.TraceCSV != par.TraceCSV {
-			t.Errorf("%s: engines disagree on the movement trace", name)
-		}
-		seq.TraceCSV, par.TraceCSV = "", ""
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("%s: engines disagree on the report:\n%+v\nvs\n%+v", name, seq, par)
-		}
 	}
 }
 
@@ -65,7 +30,7 @@ func TestChaosEngineIndependence(t *testing.T) {
 func TestChaosScenarioOutcomes(t *testing.T) {
 	seen := map[string]bool{}
 	for _, sc := range ChaosScenarios(1) {
-		r, err := RunChaosScenario(sc, waggle.EngineAuto, false)
+		r, err := RunChaosScenario(sc, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +87,11 @@ func TestChaosScenarioOutcomes(t *testing.T) {
 // and schedules, so at least something in the table moves — the
 // determinism is per-seed, not a constant table.
 func TestChaosSeedSensitivity(t *testing.T) {
-	a, err := ChaosTable(1, waggle.EngineAuto)
+	a, err := ChaosTable(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ChaosTable(2, waggle.EngineAuto)
+	b, err := ChaosTable(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +125,7 @@ func TestChaosRegistry(t *testing.T) {
 // chaos level: killing the whole stack mid-plan — inside active fault
 // windows, with messenger retries in flight — serializing it, and
 // resuming from the bytes must reproduce the uninterrupted run
-// byte-for-byte, trace included, under both engines.
+// byte-for-byte, trace included.
 func TestChaosKillAndResume(t *testing.T) {
 	for _, tc := range []struct {
 		scenario string
@@ -170,26 +135,24 @@ func TestChaosKillAndResume(t *testing.T) {
 		{"combined", 150},     // crash + outage + ramp all active
 		{"crash-sync", 120},   // no radio: swarm-only restore path
 	} {
-		for _, engine := range []waggle.EngineMode{waggle.EngineSequential, waggle.EngineParallel} {
-			sc, err := FindChaosScenario(tc.scenario, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := RunChaosScenario(sc, engine, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := RunChaosScenarioResumedCodec(sc, engine, tc.killAt, waggle.CodecBinary)
-			if err != nil {
-				t.Fatalf("%s killAt=%d: %v", tc.scenario, tc.killAt, err)
-			}
-			if got.TraceCSV == "" || got.TraceCSV != want.TraceCSV {
-				t.Errorf("%s (engine %v): resumed trace differs from uninterrupted run", tc.scenario, engine)
-			}
-			got.TraceCSV, want.TraceCSV = "", ""
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s (engine %v): resumed report differs:\n%+v\nvs\n%+v", tc.scenario, engine, got, want)
-			}
+		sc, err := FindChaosScenario(tc.scenario, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunChaosScenario(sc, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunChaosScenarioResumedCodec(sc, tc.killAt, waggle.CodecBinary)
+		if err != nil {
+			t.Fatalf("%s killAt=%d: %v", tc.scenario, tc.killAt, err)
+		}
+		if got.TraceCSV == "" || got.TraceCSV != want.TraceCSV {
+			t.Errorf("%s: resumed trace differs from uninterrupted run", tc.scenario)
+		}
+		got.TraceCSV, want.TraceCSV = "", ""
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: resumed report differs:\n%+v\nvs\n%+v", tc.scenario, got, want)
 		}
 	}
 }

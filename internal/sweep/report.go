@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"waggle"
@@ -14,7 +13,7 @@ import (
 // shapes.
 const (
 	SweepReportSchema = "waggle-sweep/v1"
-	ChaosReportSchema = "waggle-chaos/v1"
+	ChaosReportSchema = "waggle-chaos/v2"
 )
 
 // TableReport is one experiment's table in machine-readable form:
@@ -58,7 +57,6 @@ func (r *SweepReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 type ChaosReport struct {
 	Schema  string        `json:"schema"`
 	Seed    int64         `json:"seed"`
-	Engine  string        `json:"engine"`
 	Results []ChaosResult `json:"results"`
 }
 
@@ -69,11 +67,10 @@ func (r *ChaosReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 // empty) with observability rollups and assembles the report. When a
 // non-nil observer is passed, the scenarios additionally accumulate
 // into it — the hook behind waggle-chaos -listen.
-func ChaosReportFor(name string, seed int64, engine waggle.EngineMode, o *waggle.Observer) (*ChaosReport, error) {
+func ChaosReportFor(name string, seed int64, o *waggle.Observer) (*ChaosReport, error) {
 	report := &ChaosReport{
 		Schema:  ChaosReportSchema,
 		Seed:    seed,
-		Engine:  engineName(engine),
 		Results: []ChaosResult{},
 	}
 	for _, sc := range ChaosScenarios(seed) {
@@ -86,7 +83,7 @@ func ChaosReportFor(name string, seed int64, engine waggle.EngineMode, o *waggle
 			// scenarios even though the diff logic would tolerate it.
 			obsv = waggle.NewObserver()
 		}
-		r, err := RunChaosScenarioObserved(sc, engine, false, obsv)
+		r, err := RunChaosScenarioObserved(sc, false, obsv)
 		if err != nil {
 			return nil, err
 		}
@@ -109,36 +106,6 @@ func ChaosResultTable(results []ChaosResult) *render.Table {
 			r.MeanLatency, r.Retries, r.Failovers, r.Failbacks, r.ImplicitAcks, r.StepsToRecover)
 	}
 	return tbl
-}
-
-func engineName(engine waggle.EngineMode) string {
-	switch engine {
-	case waggle.EngineSequential:
-		return "sequential"
-	case waggle.EngineParallel:
-		return "parallel"
-	default:
-		return "auto"
-	}
-}
-
-// EngineModeName is the stable report-schema name of an engine mode.
-func EngineModeName(engine waggle.EngineMode) string { return engineName(engine) }
-
-// ParseEngineMode parses the report-schema engine name ("" = auto) —
-// the shared inverse of EngineModeName for CLIs and the queen wire
-// protocol.
-func ParseEngineMode(name string) (waggle.EngineMode, error) {
-	switch name {
-	case "auto", "":
-		return waggle.EngineAuto, nil
-	case "sequential":
-		return waggle.EngineSequential, nil
-	case "parallel":
-		return waggle.EngineParallel, nil
-	default:
-		return 0, fmt.Errorf("sweep: unknown engine %q (auto|sequential|parallel)", name)
-	}
 }
 
 func writeJSON(w io.Writer, v any) error {

@@ -54,24 +54,23 @@ type shardSnap struct {
 // chunks — the unit of work a queen worker executes. The zero value is
 // unusable; construct with NewChaosShardRun or ResumeChaosShardRun.
 type ChaosShardRun struct {
-	sc     ChaosScenario
-	engine waggle.EngineMode
-	r      *chaosRun
-	obsv   *waggle.Observer
-	t      int
-	cw     *waggle.CheckpointWriter
+	sc   ChaosScenario
+	r    *chaosRun
+	obsv *waggle.Observer
+	t    int
+	cw   *waggle.CheckpointWriter
 }
 
 // NewChaosShardRun starts a fresh shard run of sc with its own
 // observer attached, so the eventual Result carries the same obs
 // rollup ChaosReportFor computes single-process.
-func NewChaosShardRun(sc ChaosScenario, engine waggle.EngineMode) (*ChaosShardRun, error) {
+func NewChaosShardRun(sc ChaosScenario) (*ChaosShardRun, error) {
 	obsv := waggle.NewObserver()
-	r, err := newChaosRun(sc, engine, false, obsv)
+	r, err := newChaosRun(sc, false, obsv)
 	if err != nil {
 		return nil, err
 	}
-	return &ChaosShardRun{sc: sc, engine: engine, r: r, obsv: obsv}, nil
+	return &ChaosShardRun{sc: sc, r: r, obsv: obsv}, nil
 }
 
 // ResumeChaosShardRun rebuilds an interrupted shard from a Snapshot
@@ -79,7 +78,7 @@ func NewChaosShardRun(sc ChaosScenario, engine waggle.EngineMode) (*ChaosShardRu
 // checkpoint chain (replay-verified, byte-identical continuation) and
 // the harness ledger is seated as saved. sc must be the same scenario
 // the snapshot was taken from — same name and seed.
-func ResumeChaosShardRun(sc ChaosScenario, engine waggle.EngineMode, snap []byte) (*ChaosShardRun, error) {
+func ResumeChaosShardRun(sc ChaosScenario, snap []byte) (*ChaosShardRun, error) {
 	var ss shardSnap
 	if err := json.Unmarshal(snap, &ss); err != nil {
 		return nil, fmt.Errorf("chaos %s: shard snapshot: %w", sc.Name, err)
@@ -98,7 +97,7 @@ func ResumeChaosShardRun(sc ChaosScenario, engine waggle.EngineMode, snap []byte
 	if err != nil {
 		return nil, fmt.Errorf("chaos %s: shard snapshot stack: %w", sc.Name, err)
 	}
-	res, err := waggle.Restore(ck, waggle.RestoreWithEngine(engine))
+	res, err := waggle.Restore(ck)
 	if err != nil {
 		return nil, fmt.Errorf("chaos %s: %w", sc.Name, err)
 	}
@@ -114,7 +113,7 @@ func ResumeChaosShardRun(sc ChaosScenario, engine waggle.EngineMode, snap []byte
 		s: res.Swarm, bm: res.Messenger, radio: res.Radio,
 		msgs: msgs, cursor: ss.Cursor, done: ss.Done,
 	}
-	return &ChaosShardRun{sc: sc, engine: engine, r: r, obsv: res.Observer, t: ss.T}, nil
+	return &ChaosShardRun{sc: sc, r: r, obsv: res.Observer, t: ss.T}, nil
 }
 
 // T returns the next undriven instant.
@@ -219,7 +218,7 @@ func ChaosScenarioNames(seed int64) []string {
 // output orders results exactly as the single-process ChaosReportFor
 // run would, so the merged report is byte-identical to it regardless
 // of worker count, completion order, or mid-shard migrations.
-func MergeChaosReport(seed int64, engine waggle.EngineMode, names []string, results map[string]ChaosResult) (*ChaosReport, error) {
+func MergeChaosReport(seed int64, names []string, results map[string]ChaosResult) (*ChaosReport, error) {
 	want := map[string]bool{}
 	if names == nil {
 		for _, n := range ChaosScenarioNames(seed) {
@@ -245,7 +244,6 @@ func MergeChaosReport(seed int64, engine waggle.EngineMode, names []string, resu
 	report := &ChaosReport{
 		Schema:  ChaosReportSchema,
 		Seed:    seed,
-		Engine:  engineName(engine),
 		Results: []ChaosResult{},
 	}
 	for _, sc := range ChaosScenarios(seed) {

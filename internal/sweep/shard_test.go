@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"waggle"
 )
 
 // TestChaosShardResumeMatchesUninterrupted is the migration-safety
@@ -18,55 +16,53 @@ import (
 // run.
 func TestChaosShardResumeMatchesUninterrupted(t *testing.T) {
 	for _, name := range []string{"crash-sync", "radio-outage", "combined"} {
-		for _, engine := range []waggle.EngineMode{waggle.EngineSequential, waggle.EngineParallel} {
-			sc, err := FindChaosScenario(name, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := RunChaosScenarioObserved(sc, engine, false, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+		sc, err := FindChaosScenario(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunChaosScenarioObserved(sc, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			run, err := NewChaosShardRun(sc, engine)
-			if err != nil {
+		run, err := NewChaosShardRun(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := filepath.Join(t.TempDir(), "shard.wck")
+		// Drive two small chunks well inside the fault window (every
+		// scenario is still mid-chaos at t=120), snapshotting after
+		// each so the chain grows a delta link; only the last
+		// snapshot's bytes survive the abandonment.
+		var snap []byte
+		const chunk = 60
+		for _, until := range []int{chunk, 2 * chunk} {
+			if err := run.DriveTo(until); err != nil {
 				t.Fatal(err)
 			}
-			chain := filepath.Join(t.TempDir(), "shard.wck")
-			// Drive two small chunks well inside the fault window (every
-			// scenario is still mid-chaos at t=120), snapshotting after
-			// each so the chain grows a delta link; only the last
-			// snapshot's bytes survive the abandonment.
-			var snap []byte
-			const chunk = 60
-			for _, until := range []int{chunk, 2 * chunk} {
-				if err := run.DriveTo(until); err != nil {
-					t.Fatal(err)
-				}
-				if run.Finished() {
-					t.Fatalf("%s/%v: scenario finished at t=%d, before a mid-run snapshot", name, engine, until)
-				}
-				if snap, err = run.Snapshot(chain); err != nil {
-					t.Fatal(err)
-				}
+			if run.Finished() {
+				t.Fatalf("%s: scenario finished at t=%d, before a mid-run snapshot", name, until)
 			}
+			if snap, err = run.Snapshot(chain); err != nil {
+				t.Fatal(err)
+			}
+		}
 
-			resumed, err := ResumeChaosShardRun(sc, engine, snap)
-			if err != nil {
+		resumed, err := ResumeChaosShardRun(sc, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !resumed.Finished() {
+			if err := resumed.DriveTo(resumed.T() + chunk); err != nil {
 				t.Fatal(err)
 			}
-			for !resumed.Finished() {
-				if err := resumed.DriveTo(resumed.T() + chunk); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := resumed.Result()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%v: resumed shard result diverges\n got: %+v\nwant: %+v", name, engine, got, want)
-			}
+		}
+		got, err := resumed.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: resumed shard result diverges\n got: %+v\nwant: %+v", name, got, want)
 		}
 	}
 }
@@ -78,7 +74,7 @@ func TestChaosShardSnapshotRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := NewChaosShardRun(sc, waggle.EngineSequential)
+	run, err := NewChaosShardRun(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +89,10 @@ func TestChaosShardSnapshotRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeChaosShardRun(other, waggle.EngineSequential, snap); err == nil {
+	if _, err := ResumeChaosShardRun(other, snap); err == nil {
 		t.Fatal("resumed a radio-outage snapshot into jam-ramp")
 	}
-	if _, err := ResumeChaosShardRun(sc, waggle.EngineSequential, []byte("{")); err == nil {
+	if _, err := ResumeChaosShardRun(sc, []byte("{")); err == nil {
 		t.Fatal("resumed from torn snapshot bytes")
 	}
 }
@@ -123,7 +119,7 @@ func TestMergeChaosReportDeterministic(t *testing.T) {
 		for i, n := range names {
 			results[n] = synth(n, i+7)
 		}
-		report, err := MergeChaosReport(1, waggle.EngineAuto, nil, results)
+		report, err := MergeChaosReport(1, nil, results)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +138,7 @@ func TestMergeChaosReportDeterministic(t *testing.T) {
 		t.Fatal("merge output depends on completion order")
 	}
 	// And the canonical order is the scenario order.
-	report, err := MergeChaosReport(1, waggle.EngineAuto, nil, func() map[string]ChaosResult {
+	report, err := MergeChaosReport(1, nil, func() map[string]ChaosResult {
 		m := map[string]ChaosResult{}
 		for i, n := range shuffled {
 			m[n] = synth(n, i)
@@ -162,14 +158,14 @@ func TestMergeChaosReportDeterministic(t *testing.T) {
 // TestMergeChaosReportValidates: missing and out-of-campaign results
 // are loud errors, not silent truncation.
 func TestMergeChaosReportValidates(t *testing.T) {
-	if _, err := MergeChaosReport(1, waggle.EngineAuto, nil, map[string]ChaosResult{}); err == nil {
+	if _, err := MergeChaosReport(1, nil, map[string]ChaosResult{}); err == nil {
 		t.Fatal("merged a campaign with every result missing")
 	}
-	if _, err := MergeChaosReport(1, waggle.EngineAuto, []string{"crash-sync"},
+	if _, err := MergeChaosReport(1, []string{"crash-sync"},
 		map[string]ChaosResult{"crash-sync": {}, "jam-ramp": {}}); err == nil {
 		t.Fatal("accepted a result outside the campaign")
 	}
-	if _, err := MergeChaosReport(1, waggle.EngineAuto, []string{"no-such"}, nil); err == nil {
+	if _, err := MergeChaosReport(1, []string{"no-such"}, nil); err == nil {
 		t.Fatal("accepted an unknown scenario name")
 	}
 }

@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"waggle/internal/sim"
 )
 
 // observedFaultRun builds the richest instrumented configuration — a
 // fault plan spanning every family plus a jammed radio driven by the
 // self-healing messenger — and runs it for a fixed number of instants
-// under the given engine, returning the observer.
-func observedFaultRun(t *testing.T, mode EngineMode) *Observer {
+// on the given compute path, returning the observer.
+func observedFaultRun(t *testing.T, mode sim.EngineMode) *Observer {
 	t.Helper()
 	o := NewObserver()
 	// The radio faults come first: the failed-over message needs a clean
@@ -28,9 +30,8 @@ func observedFaultRun(t *testing.T, mode EngineMode) *Observer {
 		{Kind: FaultMoveError, Robot: -1, At: 620, Until: 680, Min: 0.8, Max: 1.2},
 	}}
 	radio := NewRadio(4, 11)
-	s, err := NewSwarm(square(), WithSynchronous(), WithSeed(11),
-		WithEngine(mode), WithObserver(o),
-		WithFaultPlan(plan), WithFaultRadio(radio))
+	s, err := onEngine(mode)(NewSwarm(square(), WithSynchronous(), WithSeed(11),
+		WithObserver(o), WithFaultPlan(plan), WithFaultRadio(radio)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +65,13 @@ func observedFaultRun(t *testing.T, mode EngineMode) *Observer {
 
 // TestObserverEngineParity is the ISSUE acceptance criterion for the
 // obs subsystem: identical seeds produce identical metric snapshots
-// and identical trace event sequences whether the simulation ran under
-// EngineSequential or EngineParallel. Run with -race this also proves
-// the concurrent instrumentation sites (PerturbView under the parallel
-// engine) are safe.
+// and identical trace event sequences whether the simulation ran on the
+// engine's sequential or its parallel compute path. Run with -race this
+// also proves the concurrent instrumentation sites (PerturbView on the
+// parallel path) are safe.
 func TestObserverEngineParity(t *testing.T) {
-	seq := observedFaultRun(t, EngineSequential)
-	par := observedFaultRun(t, EngineParallel)
+	seq := observedFaultRun(t, sim.EngineSequential)
+	par := observedFaultRun(t, sim.EngineParallel)
 
 	ss, ps := seq.DeterministicSnapshot(), par.DeterministicSnapshot()
 	if !reflect.DeepEqual(ss, ps) {

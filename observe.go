@@ -45,13 +45,13 @@ type MetricsSnapshot = obs.Snapshot
 
 // Observer collects metrics and trace events from the swarm it is
 // attached to (WithObserver). It is allocation-conscious — counters are
-// single atomics, the trace is a bounded ring — and safe under both the
-// sequential and the parallel engine. All methods are nil-safe: a nil
-// *Observer observes nothing and reads as empty.
+// single atomics, the trace is a bounded ring — and safe when the step
+// engine computes an instant's moves on parallel workers. All methods
+// are nil-safe: a nil *Observer observes nothing and reads as empty.
 //
 // Determinism: every metric that is a pure function of the seeded
-// execution is identical for identical seeds under every EngineMode;
-// wall-clock-derived metrics (step latency) are marked volatile and
+// execution is identical for identical seeds on either of the step
+// engine's compute paths; wall-clock-derived metrics (step latency) are marked volatile and
 // excluded from DeterministicSnapshot. Trace events are normalized by
 // (T, Robot, Kind, Peer, Val) order.
 type Observer struct {
@@ -88,7 +88,7 @@ func (o *Observer) Snapshot(withTrace bool) MetricsSnapshot {
 
 // DeterministicSnapshot copies every engine-independent metric plus the
 // normalized trace: identical seeds and options yield identical
-// deterministic snapshots under every EngineMode.
+// deterministic snapshots whichever compute path the engine takes.
 func (o *Observer) DeterministicSnapshot() MetricsSnapshot {
 	if o == nil {
 		return (*obs.Observer)(nil).Snapshot(false)

@@ -25,28 +25,6 @@ const (
 	SchedulerStarver
 )
 
-// EngineMode selects how the simulator computes the moves of an
-// instant's active robots. Every mode produces byte-for-byte identical
-// executions — destinations are pure functions of the shared
-// configuration snapshot and each robot's private state, applied in
-// activation order after a barrier — so the mode only changes
-// wall-clock time.
-type EngineMode int
-
-// Engine modes for WithEngine.
-const (
-	// EngineAuto (the default) parallelises instants whose activation
-	// set is large enough to amortise goroutine overhead on a
-	// multi-core host, and stays sequential otherwise.
-	EngineAuto EngineMode = iota
-	// EngineSequential computes every move on the calling goroutine —
-	// the right choice for small swarms.
-	EngineSequential
-	// EngineParallel always fans the per-robot observe–compute phase
-	// out over a worker pool sized to GOMAXPROCS.
-	EngineParallel
-)
-
 // options is the resolved configuration of a swarm.
 type options struct {
 	synchronous      bool
@@ -65,7 +43,6 @@ type options struct {
 	starveVictim     int
 	starveDelay      int
 	activationProb   float64
-	engine           EngineMode
 	stabilizeEpoch   int
 	faultPlan        *FaultPlan
 	faultRadio       *Radio
@@ -132,7 +109,8 @@ func WithLevels(k int) Option {
 
 // WithBoundedSlices selects the §5 bounded-slice asynchronous protocol:
 // only k+2 movement directions are used regardless of swarm size, with
-// the recipient index transmitted as a base-k prelude.
+// the recipient index transmitted as a base-k prelude. k must lie in
+// [2, n]: base n already sends every recipient index as one digit.
 func WithBoundedSlices(k int) Option {
 	return optionFunc(func(o *options) { o.boundedSlices = k })
 }
@@ -168,13 +146,6 @@ func WithFlocking(dx, dy float64) Option {
 	return optionFunc(func(o *options) { o.flock = &Point{X: dx, Y: dy} })
 }
 
-// WithEngine selects the simulator's step engine (see EngineMode). The
-// default EngineAuto adapts per instant; the choice never changes the
-// computed execution, only how fast it is computed.
-func WithEngine(mode EngineMode) Option {
-	return optionFunc(func(o *options) { o.engine = mode })
-}
-
 // WithScheduler selects the asynchronous activation scheduler. The
 // starver parameters are only used by SchedulerStarver.
 func WithScheduler(kind SchedulerKind) Option {
@@ -192,9 +163,8 @@ func WithActivationProbability(p float64) Option {
 // WithRestore resumes the swarm being built from a checkpoint instead
 // of starting at instant 0. The other options (and positions) passed to
 // NewSwarm must describe the same swarm the checkpoint was captured
-// from — NewSwarm verifies this (engine mode excepted, since the engine
-// never changes the computed execution) and fails with
-// ErrRestoreConfig on any mismatch. Checkpoints that couple a
+// from — NewSwarm verifies this and fails with ErrRestoreConfig on any
+// mismatch. Checkpoints that couple a
 // BackupMessenger cannot be restored through NewSwarm (it has no way to
 // return the messenger); use Restore for those.
 func WithRestore(ck *Checkpoint) Option {
@@ -239,18 +209,6 @@ func buildFrames(o options, n int) []geom.Frame {
 		frames[i] = geom.NewFrame(geom.Point{}, theta, scale, hand)
 	}
 	return frames
-}
-
-// buildEngine maps the facade's engine mode onto the simulator's.
-func buildEngine(o options) sim.EngineMode {
-	switch o.engine {
-	case EngineSequential:
-		return sim.EngineSequential
-	case EngineParallel:
-		return sim.EngineParallel
-	default:
-		return sim.EngineAuto
-	}
 }
 
 // buildScheduler derives the activation scheduler implied by the

@@ -17,7 +17,8 @@ import (
 // activation sets, deliveries, and fault events, punctuated by
 // self-describing keyframes so a reader can join mid-stream. It reads
 // each record the world closes, on the stepping goroutine, so the
-// stream is byte-identical under both engines, and it batches fsyncs,
+// stream is byte-identical whether the engine computed the instant
+// sequentially or on parallel workers, and it batches fsyncs,
 // so the per-step overhead stays a small fraction of the step itself.
 //
 // A stream is not part of the run's identity: attaching one is not

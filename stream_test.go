@@ -9,6 +9,7 @@ import (
 
 	"waggle/internal/ckpt"
 	"waggle/internal/geom"
+	"waggle/internal/sim"
 	"waggle/internal/wire"
 )
 
@@ -31,13 +32,14 @@ func liveTraceDigest(t *testing.T, s *Swarm) string {
 
 // TestStreamReplayDigest is the tentpole acceptance criterion: a
 // streamed run replayed from the stream file is byte-identical (trace
-// digest equality) to the live run, under both engines — and the two
-// engines' stream files are themselves byte-identical.
+// digest equality) to the live run, on both of the engine's compute
+// paths — and the two paths' stream files are themselves
+// byte-identical.
 func TestStreamReplayDigest(t *testing.T) {
-	files := map[EngineMode][]byte{}
-	for _, engine := range []EngineMode{EngineSequential, EngineParallel} {
+	files := map[sim.EngineMode][]byte{}
+	for _, engine := range []sim.EngineMode{sim.EngineSequential, sim.EngineParallel} {
 		path := filepath.Join(t.TempDir(), "run.wstream")
-		s, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(engine), WithStream(path))...)
+		s, err := onEngine(engine)(NewSwarm(ckptTestPositions(), append(ckptTestOptions(), WithStream(path))...))
 		if err != nil {
 			t.Fatalf("engine %v: NewSwarm: %v", engine, err)
 		}
@@ -79,9 +81,9 @@ func TestStreamReplayDigest(t *testing.T) {
 		}
 		files[engine] = data
 	}
-	if !bytes.Equal(files[EngineSequential], files[EngineParallel]) {
+	if !bytes.Equal(files[sim.EngineSequential], files[sim.EngineParallel]) {
 		t.Fatalf("stream files differ between engines: %d vs %d bytes",
-			len(files[EngineSequential]), len(files[EngineParallel]))
+			len(files[sim.EngineSequential]), len(files[sim.EngineParallel]))
 	}
 }
 
@@ -90,7 +92,7 @@ func TestStreamReplayDigest(t *testing.T) {
 // live end state without reading the stream's prefix.
 func TestStreamMidJoin(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wstream")
-	s, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(EngineAuto), WithStream(path))...)
+	s, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(), WithStream(path))...)
 	if err != nil {
 		t.Fatalf("NewSwarm: %v", err)
 	}
@@ -136,7 +138,7 @@ func TestStreamMidJoin(t *testing.T) {
 // error, never fewer records than the clean prefix holds.
 func TestStreamTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wstream")
-	s, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(EngineAuto), WithStream(path))...)
+	s, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(), WithStream(path))...)
 	if err != nil {
 		t.Fatalf("NewSwarm: %v", err)
 	}
@@ -188,7 +190,7 @@ func TestStreamTornTail(t *testing.T) {
 // to the restored run's live digest.
 func TestStreamResumeAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wstream")
-	s, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(EngineAuto), WithStream(path))...)
+	s, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(), WithStream(path))...)
 	if err != nil {
 		t.Fatalf("NewSwarm: %v", err)
 	}
@@ -201,7 +203,7 @@ func TestStreamResumeAppend(t *testing.T) {
 		t.Fatalf("close stream: %v", err)
 	}
 	resumed, err := NewSwarm(ckptTestPositions(),
-		append(ckptTestOptions(EngineAuto), WithRestore(ck), WithStream(path))...)
+		append(ckptTestOptions(), WithRestore(ck), WithStream(path))...)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}

@@ -205,7 +205,6 @@ func newSwarm(positions []Point, o options) (*Swarm, error) {
 		Robots:      robots,
 		Identified:  o.identified,
 		RecordTrace: o.trace,
-		Engine:      buildEngine(o),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("waggle: %w", err)
@@ -431,8 +430,8 @@ func validateOptions(o options, n int) error {
 		}
 	}
 	if o.boundedSlices != 0 {
-		if o.boundedSlices < 2 {
-			return fmt.Errorf("waggle: bounded-slice base %d must be at least 2", o.boundedSlices)
+		if o.boundedSlices < 2 || o.boundedSlices > n {
+			return fmt.Errorf("waggle: bounded-slice base %d outside [2,%d] (base n already sends every recipient index as one digit)", o.boundedSlices, n)
 		}
 		if o.synchronous {
 			return errors.New("waggle: WithBoundedSlices selects the asynchronous §5 protocol; drop WithSynchronous")
@@ -466,9 +465,6 @@ func validateOptions(o options, n int) error {
 		if o.levels != 0 {
 			return errors.New("waggle: WithStabilization does not compose with WithLevels")
 		}
-	}
-	if o.engine < EngineAuto || o.engine > EngineParallel {
-		return fmt.Errorf("waggle: unknown engine mode %d", o.engine)
 	}
 	return nil
 }

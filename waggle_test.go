@@ -351,6 +351,7 @@ func TestOptionValidation(t *testing.T) {
 		{"levels async", two, []Option{WithLevels(4)}},
 		{"levels with forced async protocol", two, []Option{WithSynchronous(), WithLevels(4), WithProtocol(ProtoAsync2)}},
 		{"bounded base 1", square(), []Option{WithBoundedSlices(1)}},
+		{"bounded base above n", square(), []Option{WithBoundedSlices(5)}},
 		{"bounded with sync", square(), []Option{WithSynchronous(), WithBoundedSlices(2)}},
 		{"bounded with forced protocol", square(), []Option{WithBoundedSlices(2), WithProtocol(ProtoAsyncN)}},
 		{"alternating drift on n robots", square(), []Option{WithAlternatingDrift()}},
