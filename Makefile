@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet fmt-check test race race-repeat bench bench-json bench-check bench-step bench-ckpt bench-serve bench-queen bench-stream chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
+.PHONY: verify build vet fmt-check test race race-repeat bench bench-check bench-serve bench-queen chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
 
 verify: build vet fmt-check race race-repeat bench-check chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
 
@@ -50,38 +50,16 @@ race-repeat:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkStepParallel|BenchmarkSweepParallel' -benchmem .
 
-# Full spatial-index before/after run: measures every grid fast path
-# against its brute twin and writes BENCH_spatial.json (the table in
-# EXPERIMENTS.md comes from this file).
-bench-json:
-	$(GO) run ./cmd/waggle-bench -out BENCH_spatial.json
-
-# Step-engine scaling run: full-step wall time at n up to 1,000,000 for
-# the structure-of-arrays engine, against the legacy dense-view engine
-# where it still fits in memory. Writes BENCH_step.json (schema
-# waggle-bench-step/v1; the scaling table in EXPERIMENTS.md).
-bench-step:
-	$(GO) run ./cmd/waggle-bench -step -out BENCH_step.json
-
-# Checkpoint codec run: save/restore latency and bytes for binary v2
-# full snapshots and base + delta-frame chains, at n up to 1,000,000.
-# Writes BENCH_ckpt.json (schema waggle-bench-ckpt/v1; the checkpoint
-# table in EXPERIMENTS.md). The committed file's json rows predate the
-# removal of the v1 writer, so a rerun drops them.
-bench-ckpt:
-	$(GO) run ./cmd/waggle-bench -ckpt -out BENCH_ckpt.json
-
 # Smoke gate for the benchmark trajectory: every in-package benchmark
-# compiles and runs one iteration, and every waggle-bench scenario body
-# executes once — including the step-engine scaling bodies at tiny n.
-# Catches silently-empty bench suites without paying for a full
-# measurement run.
+# compiles and runs one iteration, the n = 1,000,000 step, stream and
+# checkpoint rows included, so a silently-empty or broken bench suite
+# fails without paying for a measurement run. The checks inside the
+# benchmarks run too: every timed delta save is a delta and, at
+# n = 10,000, at least 10x faster than a full save; recorded streams
+# decode with no torn tail; a spectator join decodes a short tail.
+# EXPERIMENTS.md names the `go test -bench` command behind each table.
 bench-check:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
-	$(GO) run ./cmd/waggle-bench -smoke
-	$(GO) run ./cmd/waggle-bench -step -smoke
-	$(GO) run ./cmd/waggle-bench -ckpt -smoke
-	$(GO) run ./cmd/waggle-bench -stream -smoke
 
 # Chaos smoke: one fast scenario per fault family through the
 # fault-injection harness. The full table (EXPERIMENTS.md) is
@@ -134,13 +112,6 @@ serve-check:
 # Run under -race: the stream taps ride the step loop.
 stream-check:
 	$(GO) run -race ./cmd/waggle-sim -stream-check
-
-# Stream-writer overhead run: ns/step with the waggle-stream/v1 writer
-# attached vs detached at n up to 1,000,000, plus the spectate
-# join-mid-stream latency. Writes BENCH_stream.json (schema
-# waggle-bench-stream/v1; the streaming table in EXPERIMENTS.md).
-bench-stream:
-	$(GO) run ./cmd/waggle-bench -stream -out BENCH_stream.json
 
 # Orchestrator gauntlet: the full chaos matrix under a queen with 4
 # worker processes, one worker SIGKILLed while it holds a shard with

@@ -3,7 +3,9 @@ package waggle
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -425,8 +427,89 @@ func benchCheckpointSwarm(b *testing.B, n int) *Swarm {
 	return s
 }
 
+// ckptScaleSwarm builds the codec rows' swarm: n robots of the facade's
+// default protocol uniform on a 10√n square (seed 31+n), with one
+// interval of sends queued, so the captured state carries outboxes and
+// an input log that a restore replays.
+func ckptScaleSwarm(b *testing.B, n int) *Swarm {
+	b.Helper()
+	rng := rand.New(rand.NewSource(int64(31 + n)))
+	side := math.Sqrt(float64(n)) * 10
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Point{X: rng.Float64() * side, Y: rng.Float64() * side}
+	}
+	s, err := NewSwarm(pts, WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ckptInterval(b, s, 0)
+	return s
+}
+
+// ckptInterval is one save interval's churn: 16 robots send through the
+// recorded API. The chatting protocols cannot step swarms this large,
+// so the churn is sends, not moves.
+func ckptInterval(b *testing.B, s *Swarm, interval int) {
+	b.Helper()
+	for k := 0; k < 16; k++ {
+		from := (interval*16 + k) % s.N()
+		if err := s.Send(from, (from+1)%s.N(), []byte{byte(interval), byte(k)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// savedWriter opens a checkpoint writer for s at path and makes its
+// first save, the base frame.
+func savedWriter(b *testing.B, s *Swarm, path string, codec CheckpointCodec) *CheckpointWriter {
+	b.Helper()
+	cw, err := s.NewCheckpointWriter(path, codec)
+	if err == nil {
+		err = cw.Save()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cw
+}
+
+// bestSaves returns the fastest of five full and of five delta saves
+// of s, in pairs a tenth of a second apart after an untimed interval
+// each, so a disk busy for a moment (a test binary just linked, say)
+// does not decide a comparison.
+func bestSaves(b *testing.B, s *Swarm) (full, delta time.Duration) {
+	b.Helper()
+	dir := b.TempDir()
+	fw := savedWriter(b, s, filepath.Join(dir, "full.wck"), CodecBinary)
+	dw := savedWriter(b, s, filepath.Join(dir, "delta.wck"), CodecDelta)
+	timed := func(w *CheckpointWriter) time.Duration {
+		t0 := time.Now()
+		if err := w.Save(); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(t0)
+	}
+	full, delta = math.MaxInt64, math.MaxInt64
+	for i := 0; i < 5; i++ {
+		time.Sleep(100 * time.Millisecond)
+		ckptInterval(b, s, 1000+i)
+		full, delta = min(full, timed(fw)), min(delta, timed(dw))
+	}
+	return full, delta
+}
+
+// ckptSizes are the codec rows' swarm sizes, each with the number of
+// delta frames its restore row folds.
+var ckptSizes = []struct{ n, chain int }{{512, 10}, {10_000, 5}, {100_000, 2}, {1_000_000, 1}}
+
 // BenchmarkCheckpointSave measures capture + wire encoding, reporting
-// the serialized size (the EXPERIMENTS.md checkpoint table).
+// the serialized size (the EXPERIMENTS.md checkpoint table). The
+// binary and delta rows time a CheckpointWriter's durable saves of the
+// codec swarm: binary rewrites a full snapshot each save, the first
+// included, and delta appends one frame per interval (the interval
+// untimed). Every timed delta save must be a delta, and at n=10000 the
+// best delta save must be at least 10× faster than the best full one.
 func BenchmarkCheckpointSave(b *testing.B) {
 	for _, n := range []int{64, 512} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -448,10 +531,54 @@ func BenchmarkCheckpointSave(b *testing.B) {
 			b.ReportMetric(float64(size), "ckpt-bytes")
 		})
 	}
+	for _, sz := range ckptSizes {
+		var s *Swarm // shared by the rows at this size, as one run's saves are
+		for _, codec := range []CheckpointCodec{CodecBinary, CodecDelta} {
+			b.Run(fmt.Sprintf("%s/n=%d", codec, sz.n), func(b *testing.B) {
+				if s == nil {
+					s = ckptScaleSwarm(b, sz.n)
+				}
+				cw, err := s.NewCheckpointWriter(filepath.Join(b.TempDir(), "ckpt.wck"), codec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if codec == CodecDelta {
+						b.StopTimer()
+						if i == 0 || cw.ChainLen() == maxChainLen {
+							// The base and every rebase are untimed, so
+							// that every timed save appends.
+							if err := cw.Save(); err != nil {
+								b.Fatal(err)
+							}
+						}
+						ckptInterval(b, s, i+1)
+						b.StartTimer()
+					}
+					if err := cw.Save(); err != nil {
+						b.Fatal(err)
+					}
+					if codec == CodecDelta && !cw.LastSaveWasDelta() {
+						b.Fatalf("save %d was not a delta (an unexpected rebase)", i)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(cw.LastSaveBytes()), "B/save")
+				if codec == CodecDelta && sz.n == 10_000 {
+					if full, delta := bestSaves(b, s); 10*delta > full {
+						b.Fatalf("delta save (%v) is not 10x faster than a full binary save (%v)", delta, full)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkCheckpointRestore measures decode + rebuild + replay +
-// verification — the full resume latency.
+// verification — the full resume latency. The binary and delta rows
+// load the codec swarm's file with LoadCheckpoint and Restore it: one
+// full snapshot, or a base frame and chain delta frames.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	for _, n := range []int{64, 512} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -477,5 +604,37 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 				}
 			}
 		})
+	}
+	for _, sz := range ckptSizes {
+		dir, written := b.TempDir(), false
+		for _, codec := range []CheckpointCodec{CodecBinary, CodecDelta} {
+			b.Run(fmt.Sprintf("%s/n=%d", codec, sz.n), func(b *testing.B) {
+				if !written {
+					// One swarm writes both files; it is garbage by the
+					// time the restores are timed.
+					s := ckptScaleSwarm(b, sz.n)
+					savedWriter(b, s, filepath.Join(dir, "binary.wck"), CodecBinary)
+					cw := savedWriter(b, s, filepath.Join(dir, "delta.wck"), CodecDelta)
+					for i := 1; i <= sz.chain; i++ {
+						ckptInterval(b, s, i)
+						if err := cw.Save(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					written = true
+				}
+				path := filepath.Join(dir, codec.String()+".wck")
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ck, err := LoadCheckpoint(path)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := Restore(ck); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -184,15 +185,16 @@ func New(opts Options, ob *obs.Observer) (*Queen, error) {
 // journaled shard result is seated as done, and the campaign continues
 // from there (in-flight leases of the dead queen are simply pending
 // again — leases are volatile by design). opts.Spec is ignored except
-// as a cross-check: when its Kind is set, it must match the journal.
+// as a cross-check: when its Kind is set, it must name the journal's
+// campaign (specEqual).
 func NewFromJournal(path string, opts Options, ob *obs.Observer) (*Queen, error) {
 	rec, err := readJournal(path)
 	if err != nil {
 		return nil, err
 	}
 	if opts.Spec.Kind != "" && !specEqual(opts.Spec, rec.spec) {
-		return nil, fmt.Errorf("queen: journal %s holds a different campaign (kind %q seed %d) than requested",
-			path, rec.spec.Kind, rec.spec.Seed)
+		return nil, fmt.Errorf("queen: journal %s holds a different campaign (kind %q seed %d names %q) than requested",
+			path, rec.spec.Kind, rec.spec.Seed, rec.spec.Names)
 	}
 	opts.Spec = rec.spec
 	opts.Journal = path
@@ -224,8 +226,12 @@ func NewFromJournal(path string, opts Options, ob *obs.Observer) (*Queen, error)
 	return q, nil
 }
 
+// specEqual reports whether two specs describe the same campaign: the
+// same harness, seed and shard list, in order, since a sweep report
+// follows the request order. CheckpointEvery may differ: it changes
+// the snapshot cadence, never the report.
 func specEqual(a, b Spec) bool {
-	return a.Kind == b.Kind && a.Seed == b.Seed
+	return a.Kind == b.Kind && a.Seed == b.Seed && slices.Equal(a.Names, b.Names)
 }
 
 // shardNames derives and validates the campaign's shard list.

@@ -327,10 +327,27 @@ func TestJournalRestartResumes(t *testing.T) {
 		t.Fatalf("resumed campaign report differs\n got: %s\nwant: %s", got, want)
 	}
 
-	// A journal for a different campaign must be refused.
-	if _, err := NewFromJournal(journal, Options{Spec: Spec{Kind: "sweep", Names: []string{"silence"}}}, nil); err == nil {
-		t.Fatal("journal adopted into a mismatched campaign")
+	// A journal for a different campaign must be refused: another kind,
+	// or the same kind and seed over other shards or in another order.
+	for _, spec := range []Spec{
+		{Kind: "sweep", Names: []string{"silence"}},
+		{Kind: "chaos", Seed: 1, Names: []string{"radio-outage"}},
+		{Kind: "chaos", Seed: 1, Names: []string{"radio-outage", "crash-sync"}},
+	} {
+		if _, err := NewFromJournal(journal, Options{Spec: spec}, nil); err == nil {
+			t.Fatalf("journal adopted into a mismatched campaign %+v", spec)
+		}
 	}
+	// A fresh queen may append to it only for the same campaign, and a
+	// different snapshot cadence is the same campaign.
+	if _, err := openJournal(journal, Spec{Kind: "chaos", Seed: 1, Names: []string{"radio-outage"}}); err == nil {
+		t.Fatal("journal reopened for other shards")
+	}
+	jw, err := openJournal(journal, Spec{Kind: "chaos", Seed: 1, Names: names, CheckpointEvery: 80})
+	if err != nil {
+		t.Fatalf("journal refused for another snapshot cadence: %v", err)
+	}
+	jw.close()
 }
 
 // TestJournalRestartAfterCompletion: resuming a fully-finished journal
@@ -387,7 +404,7 @@ func TestJournalRestartIgnoresEngine(t *testing.T) {
 	if err := os.WriteFile(journal, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	q, err := NewFromJournal(journal, Options{Spec: Spec{Kind: "chaos", Seed: 1}}, nil)
+	q, err := NewFromJournal(journal, Options{Spec: Spec{Kind: "chaos", Seed: 1, Names: names}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

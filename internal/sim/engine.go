@@ -34,20 +34,6 @@ const (
 	EngineParallel
 )
 
-// String implements fmt.Stringer.
-func (m EngineMode) String() string {
-	switch m {
-	case EngineAuto:
-		return "auto"
-	case EngineSequential:
-		return "sequential"
-	case EngineParallel:
-		return "parallel"
-	default:
-		return fmt.Sprintf("EngineMode(%d)", int(m))
-	}
-}
-
 // parallelMinActive is the activation-set size below which EngineAuto
 // stays sequential: for small sets the per-step goroutine fan-out costs
 // more than the O(n) view construction it parallelises.
@@ -83,12 +69,9 @@ type cellBatch struct {
 // SetEngine switches the step-engine mode. Safe between steps; the mode
 // never changes the computed execution, only how it is computed. The
 // waggle facade never calls it (every swarm runs EngineAuto): it is the
-// hook through which the parity tests and cmd/waggle-bench force one
+// hook through which the parity tests and the benchmarks force one
 // compute path.
 func (w *World) SetEngine(m EngineMode) { w.engine = m }
-
-// Engine returns the current step-engine mode.
-func (w *World) Engine() EngineMode { return w.engine }
 
 // SetCompactViews switches limited-visibility robots to compact views:
 // View.Points holds only the robots inside the sensor disc (ascending by
@@ -99,9 +82,6 @@ func (w *World) Engine() EngineMode { return w.engine }
 // opt-in; the visible *content* (which robots, their local positions) is
 // bit-identical to the dense view's visible set. Safe between steps.
 func (w *World) SetCompactViews(on bool) { w.compact = on }
-
-// CompactViews reports whether compact views are enabled.
-func (w *World) CompactViews() bool { return w.compact }
 
 // useParallel decides whether this instant's compute phase fans out.
 func (w *World) useParallel(activeLen int) bool {
@@ -349,7 +329,7 @@ const gridRebuildFraction = 0.25
 // limited-visibility culling applies — incrementally when it can, by a
 // full rebuild when it must. The grid object is never discarded: when
 // indexing does not apply this instant it merely goes out of sync, so
-// toggling visibility or SetViewIndexing re-allocates nothing.
+// toggling visibility or viewIndexOff re-allocates nothing.
 func (w *World) prepareStep(activeLen int) {
 	n := len(w.pos)
 	w.syncSoA()
@@ -437,12 +417,6 @@ func (w *World) syncSoA() {
 	}
 	w.anyLimited = limited
 }
-
-// SetViewIndexing enables or disables the limited-visibility spatial
-// grid. Indexing never changes a computed view — the grid only culls
-// candidates ahead of the exact sensor predicate — so this is a
-// benchmarking and debugging knob, on by default.
-func (w *World) SetViewIndexing(on bool) { w.viewIndexOff = !on }
 
 // scratchFor returns robot i's view scratch with the dense buffers sized
 // for n robots. Compact views bypass it and size only the compact

@@ -120,27 +120,14 @@ func TestEngineAutoMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestEngineModeString(t *testing.T) {
-	for mode, want := range map[EngineMode]string{
-		EngineAuto:       "auto",
-		EngineSequential: "sequential",
-		EngineParallel:   "parallel",
-		EngineMode(9):    "EngineMode(9)",
-	} {
-		if got := mode.String(); got != want {
-			t.Errorf("EngineMode(%d).String() = %q, want %q", int(mode), got, want)
-		}
-	}
-}
-
 func TestSetEngine(t *testing.T) {
 	w := engineWorld(t, 4, EngineAuto, 1)
-	if w.Engine() != EngineAuto {
-		t.Fatalf("initial engine %v", w.Engine())
+	if w.engine != EngineAuto {
+		t.Fatalf("initial engine %v", w.engine)
 	}
 	w.SetEngine(EngineParallel)
-	if w.Engine() != EngineParallel {
-		t.Fatalf("engine after SetEngine = %v", w.Engine())
+	if w.engine != EngineParallel {
+		t.Fatalf("engine after SetEngine = %v", w.engine)
 	}
 	if _, err := w.Step(Synchronous{}); err != nil {
 		t.Fatal(err)
@@ -283,17 +270,12 @@ func TestBehaviorPanicParityAcrossEngines(t *testing.T) {
 	}
 }
 
-// visCentroidBehavior walks toward the centroid of the robots it can
-// see, reading the view through either layout — dense (skip invisible
-// slots) or compact (every slot is visible). Both layouts enumerate the
-// visible robots ascending by robot index, so the float accumulation
-// order, and hence the destination, is bit-identical.
-type visCentroidBehavior struct{ calls int }
-
-func (b *visCentroidBehavior) Step(v View) geom.Point {
-	b.calls++
-	var cx, cy float64
-	n := 0
+// viewSums sums and counts the robots a view shows, reading it through
+// either layout — dense (skip invisible slots) or compact (every slot
+// is visible). Both layouts enumerate the visible robots ascending by
+// robot index, so the float accumulation order, and hence any
+// destination computed from the sums, is bit-identical.
+func viewSums(v View) (cx, cy float64, n int) {
 	for k, p := range v.Points {
 		if v.Indices == nil && v.Visible != nil && !v.Visible[k] {
 			continue
@@ -302,6 +284,16 @@ func (b *visCentroidBehavior) Step(v View) geom.Point {
 		cy += p.Y
 		n++
 	}
+	return cx, cy, n
+}
+
+// visCentroidBehavior walks toward the centroid of the robots it can
+// see, plus a turning offset.
+type visCentroidBehavior struct{ calls int }
+
+func (b *visCentroidBehavior) Step(v View) geom.Point {
+	b.calls++
+	cx, cy, n := viewSums(v)
 	angle := float64(b.calls) * 1.3
 	return geom.Pt(cx/float64(n)+math.Cos(angle), cy/float64(n)+math.Sin(angle))
 }
@@ -343,7 +335,7 @@ func TestCompactViewParity(t *testing.T) {
 		"compact-noindex": limitedWorld(t, n, EngineSequential, 20, true, 42),
 		"dense-par":       limitedWorld(t, n, EngineParallel, 20, false, 42),
 	}
-	variants["compact-noindex"].SetViewIndexing(false)
+	variants["compact-noindex"].viewIndexOff = true
 	refSched := NewRandomFair(9)
 	scheds := map[string]*RandomFair{}
 	for name := range variants {
@@ -377,7 +369,7 @@ func TestIncrementalGridParity(t *testing.T) {
 	const n, steps = 200, 250
 	indexed := limitedWorld(t, n, EngineSequential, 24, false, 7)
 	brute := limitedWorld(t, n, EngineSequential, 24, false, 7)
-	brute.SetViewIndexing(false)
+	brute.viewIndexOff = true
 	si, sb := NewRandomFair(13), NewRandomFair(13)
 	for s := 0; s < steps; s++ {
 		if s == 100 {
@@ -411,7 +403,7 @@ func TestIncrementalGridParity(t *testing.T) {
 // TestGridRetainedAcrossIndexingToggle pins the buffer-reuse satellite
 // fix: prepareStep used to nil the grid whenever indexing did not apply,
 // discarding its warmed CSR buffers; now the object survives toggles of
-// SetViewIndexing and of the robots' sensor radii.
+// viewIndexOff and of the robots' sensor radii.
 func TestGridRetainedAcrossIndexingToggle(t *testing.T) {
 	w := limitedWorld(t, 64, EngineSequential, 20, false, 11)
 	step := func() {
@@ -425,7 +417,7 @@ func TestGridRetainedAcrossIndexingToggle(t *testing.T) {
 	if g == nil || !w.viewIndexActive {
 		t.Fatal("no active grid after a limited-visibility step")
 	}
-	w.SetViewIndexing(false)
+	w.viewIndexOff = true
 	step()
 	if w.viewIndex != g {
 		t.Fatal("grid discarded while indexing was off")
@@ -433,7 +425,7 @@ func TestGridRetainedAcrossIndexingToggle(t *testing.T) {
 	if w.viewIndexActive {
 		t.Fatal("viewIndexActive while indexing is off")
 	}
-	w.SetViewIndexing(true)
+	w.viewIndexOff = false
 	step()
 	if w.viewIndex != g || !w.viewIndexActive {
 		t.Fatal("grid not reused after re-enabling indexing")

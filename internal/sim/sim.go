@@ -150,8 +150,11 @@ type World struct {
 	// read-only during the compute phase, so parallel workers share it
 	// safely. viewIndexActive marks it in use this instant; gridSynced
 	// marks its contents current (the object is retained, warm, across
-	// instants that do not index). viewIndexOff is the benchmark/debug
-	// switch (SetViewIndexing); movedScratch is the diff buffer.
+	// instants that do not index). viewIndexOff forces the brute sensor
+	// scan, for the in-package parity tests and benchmarks: indexing
+	// never changes a computed view, since the grid only culls
+	// candidates ahead of the exact sensor predicate. movedScratch is
+	// the diff buffer.
 	viewIndex       *spatial.Grid
 	viewIndexOff    bool
 	viewIndexActive bool

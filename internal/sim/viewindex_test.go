@@ -23,16 +23,7 @@ func limitedVisWorld(t *testing.T, n int, visRadius float64) *World {
 			Sigma:     0.5,
 			VisRadius: visRadius,
 			Behavior: BehaviorFunc(func(v View) geom.Point {
-				var cx, cy float64
-				seen := 0
-				for j, p := range v.Points {
-					if v.Visible != nil && !v.Visible[j] {
-						continue
-					}
-					cx += p.X
-					cy += p.Y
-					seen++
-				}
+				cx, cy, seen := viewSums(v)
 				return geom.Pt(cx/float64(seen), cy/float64(seen))
 			}),
 		}
@@ -53,7 +44,7 @@ func TestViewIndexParity(t *testing.T) {
 	n := viewIndexMinN + 16
 	indexed := limitedVisWorld(t, n, 25)
 	brute := limitedVisWorld(t, n, 25)
-	brute.SetViewIndexing(false)
+	brute.viewIndexOff = true
 	for step := 0; step < 25; step++ {
 		if _, err := indexed.Step(Synchronous{}); err != nil {
 			t.Fatal(err)
@@ -65,7 +56,7 @@ func TestViewIndexParity(t *testing.T) {
 			t.Fatal("indexed world did not build the visibility grid")
 		}
 		if brute.viewIndex != nil {
-			t.Fatal("SetViewIndexing(false) left the grid active")
+			t.Fatal("viewIndexOff left the grid active")
 		}
 		for i := 0; i < n; i++ {
 			if indexed.Position(i) != brute.Position(i) {
@@ -122,7 +113,7 @@ func TestViewIndexParityParallelEngine(t *testing.T) {
 	indexed := limitedVisWorld(t, n, 25)
 	indexed.SetEngine(EngineParallel)
 	brute := limitedVisWorld(t, n, 25)
-	brute.SetViewIndexing(false)
+	brute.viewIndexOff = true
 	for step := 0; step < 10; step++ {
 		if _, err := indexed.Step(Synchronous{}); err != nil {
 			t.Fatal(err)

@@ -204,7 +204,8 @@ func TestDynamicRadiiMatchesBrute(t *testing.T) {
 			var d DynamicRadii
 			check := func(stage string, got []float64) {
 				t.Helper()
-				want := NearestRadiiBrute(pts)
+				want := make([]float64, len(pts))
+				nearestRadiiBruteInto(want, pts)
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d radii, want %d", stage, len(got), len(want))
 				}

@@ -655,9 +655,9 @@ func (g *Grid) VisitRings(p geom.Point, ringFn func(lowerBound float64) bool, fn
 // NearestRadii returns, per point, half the distance to its nearest
 // neighbour — the granular radius of the paper's §3.2 preprocessing. A
 // single point (no neighbour) gets +Inf, matching the brute-force
-// convention. Values are bit-identical to NearestRadiiBrute: the grid
-// only narrows candidates, the minimum is taken with the same
-// geom.Point.Dist arithmetic.
+// convention. Values are bit-identical to the O(n²) scan it runs below
+// bruteCutoff: the grid only narrows candidates, the minimum is taken
+// with the same geom.Point.Dist arithmetic.
 func NearestRadii(pts []geom.Point) []float64 {
 	out := make([]float64, len(pts))
 	if len(pts) < bruteCutoff {
@@ -672,14 +672,8 @@ func NearestRadii(pts []geom.Point) []float64 {
 	return out
 }
 
-// NearestRadiiBrute is the O(n²) reference twin of NearestRadii, kept
-// for property tests and the before/after benchmarks.
-func NearestRadiiBrute(pts []geom.Point) []float64 {
-	out := make([]float64, len(pts))
-	nearestRadiiBruteInto(out, pts)
-	return out
-}
-
+// nearestRadiiBruteInto is the O(n²) scan behind NearestRadii's small
+// inputs, and the reference the property tests pin the grid against.
 func nearestRadiiBruteInto(out []float64, pts []geom.Point) {
 	for i, p := range pts {
 		best := math.Inf(1)

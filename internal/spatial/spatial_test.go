@@ -166,7 +166,8 @@ func TestNearestRadiiMatchesBrute(t *testing.T) {
 	for _, n := range []int{1, 2, 5, bruteCutoff, 100, 512} {
 		for name, pts := range testConfigurations(rng, n) {
 			got := NearestRadii(pts)
-			want := NearestRadiiBrute(pts)
+			want := make([]float64, len(pts))
+			nearestRadiiBruteInto(want, pts)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s/n=%d: radius %d = %v, brute %v", name, n, i, got[i], want[i])
@@ -267,10 +268,54 @@ func BenchmarkNearestRadii(b *testing.B) {
 		b.Run(fmt.Sprintf("brute/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				NearestRadiiBrute(pts)
+				nearestRadiiBruteInto(make([]float64, len(pts)), pts)
 			}
 		})
 	}
+}
+
+// BenchmarkPlacement draws a 512-point configuration with minimum
+// separation 8 on a 12n square (seed 14) by rejection sampling, the
+// loop figures.RandomConfiguration runs, with conflict checks through
+// the grid-backed Placer (grid) or the all-pairs scan it replaced
+// (brute); both accept and reject the same draws.
+func BenchmarkPlacement(b *testing.B) {
+	const n, minSep = 512, 8.0
+	side := float64(n) * 12
+	b.Run(fmt.Sprintf("grid/n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rng := rand.New(rand.NewSource(14))
+			pl := NewPlacer(minSep)
+			for pl.Len() < n {
+				p := geom.Pt(rng.Float64()*side, rng.Float64()*side)
+				if !pl.TooClose(p) {
+					pl.Add(p)
+				}
+			}
+			pl.Points()
+		}
+	})
+	b.Run(fmt.Sprintf("brute/n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rng := rand.New(rand.NewSource(14))
+			pts := make([]geom.Point, 0, n)
+			for len(pts) < n {
+				p := geom.Pt(rng.Float64()*side, rng.Float64()*side)
+				ok := true
+				for _, q := range pts {
+					if p.Dist(q) < minSep {
+						ok = false
+						break
+					}
+				}
+				if ok {
+					pts = append(pts, p)
+				}
+			}
+		}
+	})
 }
 
 func BenchmarkRebuild(b *testing.B) {

@@ -25,7 +25,7 @@ func BenchmarkNew(b *testing.B) {
 		b.Run(fmt.Sprintf("brute/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewBrute(sites); err != nil {
+				if _, err := newBrute(sites); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -78,13 +78,13 @@ const boxMargin = 2.0
 // construction. The pruned path clips twice (once while expanding rings
 // to track the stop bound, once over the sorted candidate set), so its
 // constant factor is roughly double the scan's; measured on uniform
-// sites the crossover sits near n ≈ 190 (waggle-bench: 0.6× at n=64,
+// sites the crossover sits near n ≈ 190 (BenchmarkNew: 0.6× at n=64,
 // 1.2× at n=256, 2.2× at n=512), and the gap widens with n.
 const pruneMinSites = 192
 
 // New computes the Voronoi diagram of the given sites. Large site sets
 // use grid-pruned clipping; granulars and nearest-site indices are
-// bit-identical to NewBrute, regions identical up to ring rotation and
+// bit-identical to newBrute, regions identical up to ring rotation and
 // float noise (see the package comment).
 func New(sites []geom.Point) (*Diagram, error) {
 	n := len(sites)
@@ -133,16 +133,9 @@ func newPruned(sites []geom.Point) (*Diagram, error) {
 	return d, nil
 }
 
-// NewBrute computes the diagram by the unpruned all-pairs scan — the
-// reference twin the parity tests and the before/after benchmarks pin
-// New against.
-func NewBrute(sites []geom.Point) (*Diagram, error) {
-	if len(sites) < 2 {
-		return nil, ErrTooFewSites
-	}
-	return newBrute(sites)
-}
-
+// newBrute computes the diagram by the unpruned all-pairs scan: New's
+// path for small site counts, and the reference the parity tests pin
+// the pruned path against. It requires at least two sites.
 func newBrute(sites []geom.Point) (*Diagram, error) {
 	n := len(sites)
 	for i := 0; i < n; i++ {

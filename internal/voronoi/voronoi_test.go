@@ -162,9 +162,9 @@ func TestPrunedParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/n=%d: newPruned: %v", name, n, err)
 			}
-			want, err := NewBrute(sites)
+			want, err := newBrute(sites)
 			if err != nil {
-				t.Fatalf("%s/n=%d: NewBrute: %v", name, n, err)
+				t.Fatalf("%s/n=%d: newBrute: %v", name, n, err)
 			}
 			for i := 0; i < n; i++ {
 				gc, wc := got.Cell(i), want.Cell(i)
