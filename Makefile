@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet fmt-check test race race-repeat bench bench-check bench-serve bench-queen chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
+.PHONY: verify build vet fmt-check test race race-repeat fuzz-smoke bench bench-check bench-serve bench-queen chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
 
-verify: build vet fmt-check race race-repeat bench-check chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
+verify: build vet fmt-check race race-repeat fuzz-smoke bench-check chaos-check obs-check replay-check serve-check stream-check queen-check bench-module vulncheck
 
 build:
 	$(GO) build ./...
@@ -23,9 +23,10 @@ test:
 
 # The race detector slows the protocols about tenfold, and
 # internal/sweep's TestNamesAllRunnable runs every experiment in full,
-# C4 up to n=512 among them: about 9 minutes by itself under -race on a
-# 2-vCPU host, past go test's default 10-minute limit once other
-# packages share the CPUs. Hence the explicit timeout.
+# C4 up to n=512 among them: about 8.5 minutes by itself under -race on
+# a 2-vCPU host (slices 345 s, resolution 160 s), past go test's default
+# 10-minute limit once other packages share the CPUs. Hence the
+# explicit timeout.
 race:
 	$(GO) test -race -timeout 30m ./...
 
@@ -45,6 +46,20 @@ race:
 race-repeat:
 	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestObserverEngineParity|TestStreamFaultEvents|TestGoldenEngineParity|TestGoldenReplayFrames|TestDecoderDigest)$$/^parallel$$' .
 	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestEngineParity|TestStepAllocationFree|TestTeleport|TestTraceRecording|TestCompactViewParity|TestIncrementalGridParity|TestViewIndexParityParallelEngine)$$' ./internal/sim
+
+# Fuzz smoke: every fuzz target runs 5 s of generated inputs beyond its
+# seed corpus, which `make race` only replays as plain tests. go test
+# fuzzes one target of one package per run. A failing input is written
+# under the package's testdata/fuzz/; it becomes a seed when committed
+# with its fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s .
+	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime 5s ./internal/queen
+	$(GO) test -run '^$$' -fuzz '^FuzzSlicerClassify$$' -fuzztime 5s ./internal/protocol
+	$(GO) test -run '^$$' -fuzz '^FuzzSECNaming$$' -fuzztime 5s ./internal/naming
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzTailStream$$' -fuzztime 5s ./internal/wire
 
 # The speedup benchmarks for the parallel engine and sweep harness.
 bench:

@@ -54,19 +54,26 @@ const (
 	phaseBackToCenter
 )
 
-// asyncNState classifies an observed sender position for the decoder.
-type asyncNState struct {
-	kind stateKind
-	k    int
-	side sideOf
+// observed is the 24-byte record a robot keeps of each robot it
+// observes: where it last counted the robot's position as changed, how
+// often since the last reset, and where it last classified it.
+type observed struct {
+	// last is the robot's position, in init-local coordinates, at its
+	// last counted change.
+	last geom.Point
+	// changes counts the robot's position changes since the last reset,
+	// up to 2: the §4.2 predicate only asks whether it changed twice.
+	changes int32
+	// sector is the sector m = k + side·D in which the robot's
+	// displacement from home was last classified, atCentre when it was
+	// last seen at home, or undecodable for the observer itself and for
+	// a robot whose movements it cannot classify.
+	sector int32
 }
 
-type stateKind int
-
 const (
-	stateCenter stateKind = iota + 1
-	stateKappa
-	stateSlice
+	atCentre    = -1
+	undecodable = -2
 )
 
 const (
@@ -76,6 +83,10 @@ const (
 	// centerTolFrac classifies a sender within this fraction of its
 	// granular radius of its home as "at the centre".
 	centerTolFrac = 1e-7
+	// changeFrac counts a robot's position as changed once it lies more
+	// than this fraction of its granular radius from the position of
+	// its last counted change.
+	changeFrac = 1e-9
 )
 
 // NewAsyncN builds behaviors and endpoints for Protocol Asyncn: n
@@ -140,11 +151,6 @@ type asyncNRobot struct {
 	amp  float64 // excursion extent (local units)
 	step float64 // movement quantum (local units)
 
-	// Change counters over all robots (the "every robot changed twice"
-	// predicate of §4.2).
-	lastPos []geom.Point
-	counts  []int
-
 	phase   asyncNPhase
 	kappaU  geom.Vec // unit direction of κ's positive half
 	kDir    float64  // current κ leg direction (+1 / -1)
@@ -160,8 +166,15 @@ type asyncNRobot struct {
 	// addressing, or §5 index preludes).
 	coder asyncCoder
 
-	// Decoder state.
-	prev  []asyncNState
+	// Decoder state, allocated at the first activation and never
+	// before: a swarm that is only checkpointed never pays for it. obs
+	// holds one record per robot. below counts the robots other than
+	// this one with fewer than two changes since the last reset, so the
+	// "every robot changed twice" predicate of §4.2 is below == 0.
+	// sinks holds each sender's excursion sink; the slice and each sink
+	// in it are built on the first slice excursion that needs them.
+	obs   []observed
+	below int
 	sinks []excursionSink
 }
 
@@ -221,79 +234,114 @@ func (r *asyncNRobot) initFrom(view sim.View) {
 		r.cfgErr = fmt.Errorf("%w: step %v invisible against granular %v",
 			ErrAmplitudeExceedsSigma, r.step, radius)
 	}
-	r.lastPos = make([]geom.Point, view.N())
-	r.counts = make([]int, view.N())
+	r.obs = make([]observed, view.N())
 	for j, p := range view.Points {
-		r.lastPos[j] = r.rk.toInit(p)
+		o := &r.obs[j]
+		o.last = r.rk.toInit(p)
+		o.sector = atCentre
+		if j == view.Self || !r.geo.canDecode(j) {
+			o.sector = undecodable
+		}
 	}
+	r.below = len(r.obs) - 1
 	r.phase = phaseKappa
 	if r.cfgErr == nil {
 		r.kappaU = quantizeDir(r.geo.kappaDir(view.Self), r.cfg.DirectionResolution).Unit()
 	}
 	r.kDir = 1
-	r.prev = make([]asyncNState, view.N())
-	r.sinks = make([]excursionSink, view.N())
-	for j := range r.prev {
-		r.prev[j] = asyncNState{kind: stateCenter}
-		if j != view.Self && r.geo.canDecode(j) {
-			r.sinks[j] = r.coder.newSink(r.geo, j)
+}
+
+// observeAll reads every other robot's position once, in init-local
+// coordinates, in one pass over the records. It counts the robot's
+// position changes (the "every robot changed twice" predicate of §4.2)
+// and classifies its displacement from home, emitting a bit on every
+// transition into a recipient-slice sector. Both thresholds scale with
+// the robot's granular radius, read once per robot. The classification
+// tries the robot's previous sector first.
+func (r *asyncNRobot) observeAll(view sim.View) {
+	g, pts := r.geo, view.Points
+	obs, radii := r.obs[:len(pts)], g.radii[:len(pts)]
+	p0, slicers := g.p0[:len(pts)], g.slicers[:len(pts)]
+	sectors, res := g.sectors, r.cfg.DirectionResolution
+	for j, p := range pts {
+		if j == view.Self {
+			continue
+		}
+		o := &obs[j]
+		cur := r.rk.toInit(p)
+		rad := radii[j]
+		dx, dy := cur.X-o.last.X, cur.Y-o.last.Y
+		// Both thresholds are Band's exact tests with the fast
+		// comparison inlined, as in the sensor loops of internal/sim:
+		// Beyond and Within (and their math.Hypot) run only inside the
+		// rounding band.
+		change := geom.NewBand(changeFrac * rad)
+		if in, ok := change.Fast(dx, dy); !in && (ok || change.Beyond(dx, dy)) {
+			o.last = cur
+			if o.changes < 2 {
+				o.changes++
+				if o.changes == 2 {
+					r.below--
+				}
+			}
+		}
+		prev := o.sector
+		if prev == undecodable {
+			continue
+		}
+		d := cur.Sub(p0[j])
+		centre := geom.NewBand(centerTolFrac * rad)
+		m := int32(atCentre)
+		if in, ok := centre.Fast(d.X, d.Y); !in && (ok || !centre.Within(d.X, d.Y)) {
+			// §5: a resolution-limited sensor only distinguishes so many
+			// directions; the observed displacement snaps to the grid
+			// before classification.
+			if res > 0 {
+				d = quantizeDir(d, res)
+			}
+			m = int32(slicers[j].sector(d, sectors, int(prev)))
+		}
+		o.sector = m
+		if m == prev || m == atCentre {
+			continue
+		}
+		k, side := sectors.split(int(m))
+		if _, isRecipient := g.diameterRecipient(k); isRecipient {
+			r.consume(j, k, side)
 		}
 	}
 }
 
-// observeAll reads every other robot's position once, in init-local
-// coordinates. It counts the robot's position changes (the "every robot
-// changed twice" predicate of §4.2) and classifies its displacement
-// from home, emitting a bit on every transition into a recipient-slice
-// state.
-func (r *asyncNRobot) observeAll(view sim.View) {
-	for j, p := range view.Points {
-		if j == view.Self {
-			continue
-		}
-		cur := r.rk.toInit(p)
-		last := r.lastPos[j]
-		if geom.NewBand(1e-9*r.geo.radii[j]).Beyond(cur.X-last.X, cur.Y-last.Y) {
-			r.counts[j]++
-			r.lastPos[j] = cur
-		}
-		if r.sinks[j] == nil {
-			continue
-		}
-		st := r.classify(j, cur)
-		prev := r.prev[j]
-		r.prev[j] = st
-		if st.kind != stateSlice || st == prev {
-			continue
-		}
-		if rec, done := r.sinks[j].consume(st.k, st.side); done {
-			r.endpoint.deliver(rec)
-		}
+// consume passes sender j's excursion on diameter k to j's sink,
+// building the sink on its first excursion, and delivers the message
+// it completes.
+func (r *asyncNRobot) consume(j, k int, side sideOf) {
+	if r.sinks == nil {
+		r.sinks = make([]excursionSink, len(r.obs))
+	}
+	sink := r.sinks[j]
+	if sink == nil {
+		sink = r.coder.newSink(r.geo, j)
+		r.sinks[j] = sink
+	}
+	if rec, done := sink.consume(k, side); done {
+		r.endpoint.deliver(rec)
 	}
 }
 
 // resetChanges starts a new waiting phase with the current observations
-// as baseline. (observeAll has already run this activation, so lastPos
-// is current.)
+// as baseline. (observeAll has already run this activation, so every
+// record's last position is current.)
 func (r *asyncNRobot) resetChanges() {
-	for j := range r.counts {
-		r.counts[j] = 0
+	for j := range r.obs {
+		r.obs[j].changes = 0
 	}
+	r.below = len(r.obs) - 1
 }
 
 // allChangedTwice reports whether every other robot's position has
 // changed at least twice since the last reset.
-func (r *asyncNRobot) allChangedTwice() bool {
-	for j, c := range r.counts {
-		if j == r.geo.self {
-			continue
-		}
-		if c < 2 {
-			return false
-		}
-	}
-	return true
-}
+func (r *asyncNRobot) allChangedTwice() bool { return r.below == 0 }
 
 // stepKappa idles (or separates) on κ: same direction within a leg,
 // flipping when every robot has changed twice; a pending message
@@ -412,22 +460,4 @@ func (r *asyncNRobot) refillBits() bool {
 	r.txBits = r.txBits[1:]
 	r.pending = &bit
 	return true
-}
-
-// classify maps robot j's position, in init-local coordinates, to a
-// decoder state.
-func (r *asyncNRobot) classify(j int, cur geom.Point) asyncNState {
-	d := cur.Sub(r.geo.p0[j])
-	if geom.NewBand(centerTolFrac*r.geo.radii[j]).Within(d.X, d.Y) {
-		return asyncNState{kind: stateCenter}
-	}
-	// §5: a resolution-limited sensor only distinguishes so many
-	// directions; the observed displacement snaps to the grid before
-	// classification.
-	d = quantizeDir(d, r.cfg.DirectionResolution)
-	k, side := r.geo.slicers[j].classify(d, r.geo.sectors)
-	if _, isRecipient := r.geo.diameterRecipient(k); !isRecipient {
-		return asyncNState{kind: stateKappa}
-	}
-	return asyncNState{kind: stateSlice, k: k, side: side}
 }

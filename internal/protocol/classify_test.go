@@ -30,18 +30,32 @@ func referenceClassify(ref geom.Vec, diameters int, d geom.Vec) (int, sideOf) {
 }
 
 // checkClassify fails the test unless classify agrees with the reference
-// on d, and reports whether the fast path certified d.
-func checkClassify(t *testing.T, ref geom.Vec, tab *sectorTable, d geom.Vec) bool {
+// on d, and reports whether the fast path certified d. It also runs the
+// guessed certificate, slicer.sector, with the right sector, both its
+// neighbours, a far sector, both ends of the range (so a neighbour
+// across the wrap to sector 0), -1, 2D, 2D+1 and extra, each of which
+// must give the reference's sector as well.
+func checkClassify(t *testing.T, ref geom.Vec, tab *sectorTable, d geom.Vec, extra int) bool {
 	t.Helper()
 	s := newSlicer(ref, tab.diameters)
 	k, side := s.classify(d, tab)
 	wk, wside := referenceClassify(ref, tab.diameters, d)
 	if k != wk || side != wside {
-		m, ok := tab.certify(s.ref, d)
+		m, ok := tab.certify(s.ref, d, -1)
 		t.Fatalf("diameters %d, ref %v, d (%b, %b): classify (%d, %d), reference (%d, %d); certify (%d, %v)",
 			tab.diameters, ref, d.X, d.Y, k, side, wk, wside, m, ok)
 	}
-	_, ok := tab.certify(s.ref, d)
+	sectors := 2 * tab.diameters
+	want := wk + int(wside)*tab.diameters
+	for _, guess := range []int{want, (want + 1) % sectors, (want + sectors - 1) % sectors,
+		(want + tab.diameters) % sectors, 0, sectors - 1, -1, sectors, sectors + 1, extra} {
+		if got := s.sector(d, tab, guess); got != want {
+			m, ok := tab.certify(s.ref, d, guess)
+			t.Fatalf("diameters %d, ref %v, d (%b, %b), guess %d: sector %d, reference %d; certify (%d, %v)",
+				tab.diameters, ref, d.X, d.Y, guess, got, want, m, ok)
+		}
+	}
+	_, ok := tab.certify(s.ref, d, -1)
 	return ok
 }
 
@@ -85,7 +99,7 @@ func TestSlicerClassifyMatchesReference(t *testing.T) {
 					dir := s.direction(k, side)
 					for _, mag := range magnitudes {
 						onDiameter++
-						if checkClassify(t, ref, tab, dir.Scale(mag)) {
+						if checkClassify(t, ref, tab, dir.Scale(mag), k) {
 							hits++
 						}
 					}
@@ -99,17 +113,17 @@ func TestSlicerClassifyMatchesReference(t *testing.T) {
 				mag := append(magnitudes, 1e-310, 1e-316, 1e-320, 1e-322)[rng.Intn(len(magnitudes)+4)]
 				sin, cos := math.Sincos(theta)
 				x, y := cos*mag, sin*mag
-				checkClassify(t, ref, tab, geom.V(x, y))
+				checkClassify(t, ref, tab, geom.V(x, y), j)
 				for k := 1; k <= 16; k++ {
 					for _, sk := range []int{k, -k} {
-						checkClassify(t, ref, tab, geom.V(nudge(x, sk), y))
-						checkClassify(t, ref, tab, geom.V(x, nudge(y, sk)))
+						checkClassify(t, ref, tab, geom.V(nudge(x, sk), y), j)
+						checkClassify(t, ref, tab, geom.V(x, nudge(y, sk)), j+1)
 					}
 				}
 				for eps := 1e-15; eps < 2e-3; eps *= 10 {
 					for _, e := range []float64{eps, -eps} {
 						sin, cos := math.Sincos(theta + e)
-						checkClassify(t, ref, tab, geom.V(cos*mag, sin*mag))
+						checkClassify(t, ref, tab, geom.V(cos*mag, sin*mag), j)
 					}
 				}
 			}
@@ -126,7 +140,7 @@ func TestSlicerClassifyMatchesReference(t *testing.T) {
 		for _, ref := range []geom.Vec{geom.V(0, 1), geom.V(0.6, -0.8), geom.V(-3e-7, -2)} {
 			for _, x := range special {
 				for _, y := range special {
-					checkClassify(t, ref, tab, geom.V(x, y))
+					checkClassify(t, ref, tab, geom.V(x, y), math.MaxInt)
 				}
 			}
 		}
@@ -189,15 +203,17 @@ func TestSectorTablesShared(t *testing.T) {
 
 // FuzzSlicerClassify compares the certified classifier with the
 // reference on arbitrary reference directions, displacements and
-// diameter counts from 1 to 256.
+// diameter counts from 1 to 256, and the guessed certificate under the
+// fuzzed guess next to checkClassify's fixed ones.
 func FuzzSlicerClassify(f *testing.F) {
-	f.Add(0.0, 1.0, 1.0, 0.0, uint8(32))
-	f.Add(0.6, -0.8, -3.0, 4.0, uint8(0))
-	f.Add(1e-300, 1.0, 1e300, -1e-300, uint8(69))
-	f.Add(0.0, 1.0, math.Sin(math.Pi/66), math.Cos(math.Pi/66), uint8(32))
-	f.Add(1.0, 0.0, math.NaN(), 1.0, uint8(4))
-	f.Add(0.0, 0.0, 1.0, 1.0, uint8(7))
-	f.Fuzz(func(t *testing.T, refX, refY, dX, dY float64, d uint8) {
-		checkClassify(t, geom.V(refX, refY), newSectorTable(int(d)+1, 0).filled(), geom.V(dX, dY))
+	f.Add(0.0, 1.0, 1.0, 0.0, uint8(32), 0)
+	f.Add(0.6, -0.8, -3.0, 4.0, uint8(0), 1)
+	f.Add(1e-300, 1.0, 1e300, -1e-300, uint8(69), 139)
+	f.Add(0.0, 1.0, math.Sin(math.Pi/66), math.Cos(math.Pi/66), uint8(32), 65)
+	f.Add(1.0, 0.0, math.NaN(), 1.0, uint8(4), -1)
+	f.Add(0.0, 0.0, 1.0, 1.0, uint8(7), 16)
+	f.Add(0.0, 1.0, -1.0, -1e-3, uint8(2), 5)
+	f.Fuzz(func(t *testing.T, refX, refY, dX, dY float64, d uint8, guess int) {
+		checkClassify(t, geom.V(refX, refY), newSectorTable(int(d)+1, 0).filled(), geom.V(dX, dY), guess)
 	})
 }

@@ -115,3 +115,65 @@ func TestSwarmGeometryAllocation(t *testing.T) {
 	}
 	runtime.KeepAlive(g)
 }
+
+// TestAsyncNDecoderAllocation bounds what one AsyncN robot's first
+// activation allocates per observed robot at n = 1024 to 208 bytes: its
+// swarm geometry, its granular-radii cache and its 24-byte decoder
+// records, the swarm's shared sector table filled beforehand. (With
+// three observation slices and every sender's sink built at once, the
+// first activation allocated 299 bytes per observed robot.) Sinks wait
+// for excursions: after the first activation, which sees every robot at
+// home, the robot holds none, and one sender's excursion builds that
+// sender's sink alone.
+func TestAsyncNDecoderAllocation(t *testing.T) {
+	const n, decoderBytes = 1024, 208
+	pts := uniformPoints(rand.New(rand.NewSource(7)), n, 12*n)
+	behaviors, _, err := NewAsyncN(n, AsyncNConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := n / 3
+	r := behaviors[self].(*asyncNRobot)
+	r.sectors.filled()
+	egocentric := func(shift geom.Vec) []geom.Point {
+		view := make([]geom.Point, n)
+		for i, p := range pts {
+			view[i] = geom.Pt(p.X-pts[self].X-shift.X, p.Y-pts[self].Y-shift.Y)
+		}
+		return view
+	}
+	first := sim.View{Self: self, Points: egocentric(geom.Vec{})}
+	var before, after, live runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r.Step(first)
+	runtime.ReadMemStats(&after)
+	runtime.GC()
+	runtime.ReadMemStats(&live)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	allocated := float64(after.TotalAlloc-before.TotalAlloc) / (n - 1)
+	retained := (float64(live.HeapAlloc) - float64(before.HeapAlloc)) / (n - 1)
+	t.Logf("first activation: %.0f B allocated, %.0f B live per observed robot", allocated, retained)
+	if allocated >= decoderBytes {
+		t.Errorf("the first activation allocated %.0f B per observed robot, want under %d", allocated, decoderBytes)
+	}
+	if r.sinks != nil {
+		t.Fatalf("a robot that has seen no excursion holds sinks for %d robots", len(r.sinks))
+	}
+
+	// Sender j excurses half its granular radius along a recipient's
+	// diameter; the observer has moved since, so its view shifts back.
+	const j = 5
+	view := egocentric(r.rk.offset)
+	dir := r.geo.slicers[j].direction(r.geo.recipientDiameter(2), 1)
+	view[j] = view[j].Add(dir.Scale(r.geo.radii[j] / 2))
+	r.Step(sim.View{Self: self, Points: view})
+	for i, s := range r.sinks {
+		if (s != nil) != (i == j) {
+			t.Errorf("after sender %d's excursion, robot %d has sink %v", j, i, s)
+		}
+	}
+	runtime.KeepAlive(first)
+}

@@ -118,13 +118,20 @@ func (s slicer) direction(k int, side sideOf) geom.Vec {
 // gives (DESIGN.md §5m); every other displacement, NaN and ±Inf
 // included, goes through classifyAngle itself.
 func (s slicer) classify(d geom.Vec, t *sectorTable) (k int, side sideOf) {
-	if m, ok := t.certify(s.ref, d); ok {
-		if m >= t.diameters {
-			return m - t.diameters, 1
-		}
-		return m, 0
+	return t.split(s.sector(d, t, -1))
+}
+
+// sector is classify as one index, m = k + side·D, with a guess at the
+// sector to try first: a decoder passes the sector it last saw the
+// sender in. The guess only decides how soon the certificate holds,
+// never what it returns, so any guess, a negative one or one of 2D and
+// above included, gives classify's answer.
+func (s slicer) sector(d geom.Vec, t *sectorTable, guess int) int {
+	if m, ok := t.certify(s.ref, d, guess); ok {
+		return m
 	}
-	return s.classifyAngle(d)
+	k, side := s.classifyAngle(d)
+	return k + int(side)*s.diameters
 }
 
 // classifyAngle is classify by the clockwise angle of d from the
@@ -200,18 +207,23 @@ func (t *sectorTable) filled() *sectorTable {
 }
 
 // certify returns the sector of displacement d under reference
-// direction ref when the certificate holds. It guesses the sector from
-// an approximate clockwise angle and accepts the guess only if d clears
-// both of the sector's boundaries by the margin. Displacements whose
-// L1 length in the slicer's frame lies outside [2^-1000, 2^1000] are
-// not certified: zero, subnormal, NaN and ±Inf components among them.
-func (t *sectorTable) certify(ref, d geom.Vec) (m int, ok bool) {
+// direction ref when the certificate holds. It tries the sector guess
+// first, when it is one (0 <= guess < 2D), then the sector of an
+// approximate clockwise angle, and accepts a sector only if d clears
+// both of its boundaries by the margin. Displacements whose L1 length
+// in the slicer's frame lies outside [2^-1000, 2^1000] are not
+// certified: zero, subnormal, NaN and ±Inf components among them.
+func (t *sectorTable) certify(ref, d geom.Vec, guess int) (m int, ok bool) {
 	a := d.X*ref.X + d.Y*ref.Y
 	b := d.X*ref.Y - d.Y*ref.X
 	x, y := math.Abs(a), math.Abs(b)
 	l1 := x + y
 	if !(l1 >= 0x1p-1000 && l1 <= 0x1p1000) {
 		return 0, false
+	}
+	margin := sectorMargin * l1
+	if uint(guess) < uint(2*t.diameters) && t.clears(guess, a, b, margin) {
+		return guess, true
 	}
 	// The angle within its octant, by Abramowitz & Stegun 4.4.47
 	// (|error| <= 1e-5 rad), then unfolded into [0, 2π].
@@ -236,12 +248,26 @@ func (t *sectorTable) certify(ref, d geom.Vec) (m int, ok bool) {
 	if m >= 2*t.diameters {
 		m -= 2 * t.diameters
 	}
-	lo, hi := t.bounds[m], t.bounds[m+1]
-	margin := sectorMargin * l1
-	if lo.X*b-lo.Y*a > margin && a*hi.Y-b*hi.X > margin {
+	if m != guess && t.clears(m, a, b, margin) {
 		return m, true
 	}
 	return 0, false
+}
+
+// split returns the diameter and side of sector m.
+func (t *sectorTable) split(m int) (k int, side sideOf) {
+	if m >= t.diameters {
+		return m - t.diameters, 1
+	}
+	return m, 0
+}
+
+// clears reports whether (a, b) lies inside sector m by the margin:
+// its cross products with both of the sector's boundary directions
+// exceed it.
+func (t *sectorTable) clears(m int, a, b, margin float64) bool {
+	lo, hi := t.bounds[m], t.bounds[m+1]
+	return lo.X*b-lo.Y*a > margin && a*hi.Y-b*hi.X > margin
 }
 
 // granularRadii returns, per point, half the distance to its nearest

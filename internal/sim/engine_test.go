@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -449,30 +450,107 @@ func TestGridRetainedAcrossIndexingToggle(t *testing.T) {
 
 // TestCoincidentCheckGridParity: the grid-backed distinctness check of
 // large configurations must report the same pair as the ascending
-// all-pairs scan.
+// all-pairs scan: for two partners of one robot, for pairs straddling a
+// cell edge and a cell corner, for pairs exactly Eps apart and one ulp
+// beyond, and at coordinates so large that one ulp exceeds Eps.
 func TestCoincidentCheckGridParity(t *testing.T) {
 	const n = 300 // >= coincidentGridMinN
-	mk := func() []geom.Point {
+	// A 20×15 lattice, 5 apart, at the given offset: its grid has 12×12
+	// cells over the lattice's box, 95/12 wide and 70/12 high.
+	mk := func(off float64) []geom.Point {
 		pts := make([]geom.Point, n)
 		for i := range pts {
-			pts[i] = geom.Pt(float64(i%20)*5, float64(i/20)*5)
+			pts[i] = geom.Pt(off+float64(i%20)*5, off+float64(i/20)*5)
 		}
 		return pts
 	}
-	pts := mk()
-	pts[120] = pts[37]
-	pts[205] = pts[37] // two coincident partners; the scan reports the smaller j
+	scan := func(pts []geom.Point) error {
+		for i := range pts {
+			for j := i + 1; j < len(pts); j++ {
+				if pts[i].Eq(pts[j]) {
+					return fmt.Errorf("robots %d and %d: %w", i, j, ErrCoincidentRobots)
+				}
+			}
+		}
+		return nil
+	}
+	// An edge point of the grid over mk(0): where cell column cx begins
+	// and cell row cy begins, by the grid's own arithmetic.
+	edgeX := func(cx int) float64 { return float64(cx) * (95.0 / 12) }
+	edgeY := func(cy int) float64 { return float64(cy) * (70.0 / 12) }
+	col := func(x float64) int { return int(x / (95.0 / 12)) }
+	row := func(y float64) int { return int(y / (70.0 / 12)) }
+	ulp := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	for _, tc := range []struct {
+		name string
+		pts  []geom.Point
+		want string // the pair, or "" when the configuration is distinct
+	}{
+		{"distinct", mk(0), ""},
+		{"two partners", func() []geom.Point {
+			pts := mk(0)
+			pts[120] = pts[37]
+			pts[205] = pts[37] // the scan reports the smaller j
+			return pts
+		}(), "robots 37 and 120"},
+		{"across a cell edge", func() []geom.Point {
+			pts := mk(0)
+			x, y := edgeX(5), 31.0
+			pts[250] = geom.Pt(x+0.4e-9, y)
+			pts[60] = geom.Pt(x-0.4e-9, y)
+			if col(pts[250].X) == col(pts[60].X) {
+				t.Fatal("the pair does not straddle a cell edge")
+			}
+			return pts
+		}(), "robots 60 and 250"},
+		{"across a cell corner", func() []geom.Point {
+			pts := mk(0)
+			x, y := edgeX(7), edgeY(4)
+			pts[10] = geom.Pt(x+0.3e-9, y+0.3e-9)
+			pts[299] = geom.Pt(x-0.3e-9, y-0.3e-9)
+			if col(pts[10].X) == col(pts[299].X) || row(pts[10].Y) == row(pts[299].Y) {
+				t.Fatal("the pair does not straddle a cell corner")
+			}
+			return pts
+		}(), "robots 10 and 299"},
+		{"exactly Eps apart", func() []geom.Point {
+			pts := mk(0)
+			pts[150] = geom.Pt(0, geom.Eps) // pts[0] is the origin
+			return pts
+		}(), "robots 0 and 150"},
+		{"one ulp beyond Eps", func() []geom.Point {
+			pts := mk(0)
+			pts[150] = geom.Pt(ulp(geom.Eps), 0)
+			pts[151] = geom.Pt(0, -ulp(geom.Eps))
+			return pts
+		}(), ""},
+		{"one ulp above Eps, equal", func() []geom.Point {
+			pts := mk(1e8) // ulp(1e8) is about 1.5e-8
+			pts[42] = geom.Pt(ulp(pts[41].X), pts[41].Y)
+			pts[43] = geom.Pt(pts[44].X, ulp(pts[44].Y))
+			if pts[42].X-pts[41].X <= geom.Eps {
+				t.Fatal("one ulp does not exceed Eps")
+			}
+			pts[200] = pts[99]
+			return pts
+		}(), "robots 99 and 200"},
+	} {
+		want := scan(tc.pts)
+		if got := checkDistinctPositions(tc.pts); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: grid check %v, all-pairs scan %v", tc.name, got, want)
+		}
+		if tc.want == "" && want != nil || tc.want != "" && (want == nil || !strings.Contains(want.Error(), tc.want)) {
+			t.Errorf("%s: the scan reports %v, want %q", tc.name, want, tc.want)
+		}
+	}
 	robots := make([]*Robot, n)
 	for i := range robots {
 		robots[i] = &Robot{Frame: geom.WorldFrame(), Sigma: 1, Behavior: BehaviorFunc(func(v View) geom.Point { return v.Points[v.Self] })}
 	}
-	_, err := NewWorld(Config{Positions: pts, Robots: robots})
-	if err == nil || !strings.Contains(err.Error(), "robots 37 and 120") {
-		t.Fatalf("grid coincidence check reported %v, want robots 37 and 120", err)
-	}
-	// Distinct large configurations must pass.
-	if _, err := NewWorld(Config{Positions: mk(), Robots: robots}); err != nil {
-		t.Fatalf("distinct configuration rejected: %v", err)
+	pts := mk(0)
+	pts[120] = pts[37]
+	if _, err := NewWorld(Config{Positions: pts, Robots: robots}); err == nil || !strings.Contains(err.Error(), "robots 37 and 120") {
+		t.Fatalf("NewWorld reported %v, want robots 37 and 120", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"waggle/internal/geom"
@@ -31,14 +32,15 @@ func injectWorld(t *testing.T, n int) *World {
 }
 
 // scriptInjector records the hook call order and applies scripted
-// transformations.
+// transformations. The parallel engine calls PerturbView from its
+// workers, so that hook appends to the log under mu.
 type scriptInjector struct {
-	log        []string
-	filter     func(t int, active []int) []int
-	viewShift  geom.Vec
-	moveScale  float64
-	badDest    bool
-	sawPerturb bool
+	mu        sync.Mutex
+	log       []string
+	filter    func(t int, active []int) []int
+	viewShift geom.Vec
+	moveScale float64
+	badDest   bool
 }
 
 func (s *scriptInjector) BeginStep(t int, w *World) { s.log = append(s.log, "begin") }
@@ -52,8 +54,9 @@ func (s *scriptInjector) FilterActive(t int, active []int) []int {
 }
 
 func (s *scriptInjector) PerturbView(t, observer int, frame geom.Frame, view View) View {
+	s.mu.Lock()
 	s.log = append(s.log, "view")
-	s.sawPerturb = true
+	s.mu.Unlock()
 	for j := range view.Points {
 		if j != view.Self {
 			view.Points[j] = view.Points[j].Add(s.viewShift)

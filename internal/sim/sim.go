@@ -326,10 +326,8 @@ func NewWorld(cfg Config) (*World, error) {
 const coincidentGridMinN = 256
 
 // checkDistinctPositions rejects coincident initial positions, which the
-// model forbids. Large sets use a grid and find, for each i ascending,
-// the smallest coincident j > i — the same pair the quadratic scan
-// reports, at expected O(n): the grid only narrows candidates and the
-// predicate is the same Eq (Dist <= Eps) arithmetic.
+// model forbids. Large sets use a grid, whose FirstCoincident reports
+// the same pair as the quadratic scan, at expected O(n).
 func checkDistinctPositions(pts []geom.Point) error {
 	n := len(pts)
 	if n < coincidentGridMinN {
@@ -342,17 +340,8 @@ func checkDistinctPositions(pts []geom.Point) error {
 		}
 		return nil
 	}
-	g := spatial.NewGrid(pts)
-	for i := 0; i < n; i++ {
-		minJ := -1
-		g.VisitNeighborhood(pts[i], geom.Eps, func(j int, d float64) {
-			if j > i && d <= geom.Eps && (minJ < 0 || j < minJ) {
-				minJ = j
-			}
-		})
-		if minJ >= 0 {
-			return fmt.Errorf("robots %d and %d: %w", i, minJ, ErrCoincidentRobots)
-		}
+	if i, j, ok := spatial.NewGrid(pts).FirstCoincident(); ok {
+		return fmt.Errorf("robots %d and %d: %w", i, j, ErrCoincidentRobots)
 	}
 	return nil
 }

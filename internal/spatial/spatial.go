@@ -543,6 +543,44 @@ func (g *Grid) VisitNeighborhood(p geom.Point, radius float64, fn func(j int, d 
 	}
 }
 
+// FirstCoincident returns the first pair of indexed points that
+// coincide, p.Eq(q), that is Dist <= geom.Eps: the smallest i, then the
+// smallest j > i, the pair an ascending all-pairs scan reports. ok is
+// false when no two points coincide.
+//
+// A point within Eps of p lies within Eps·(1+2u) of it on each axis,
+// because a computed Hypot is never below either computed difference,
+// and a computed difference is within u of the exact one. So only the
+// cells that the box p ± Eps·(1+2⁻²⁰) maps to can hold it: the box's
+// ends, rounded, still bracket its coordinates, and a coordinate's cell
+// is monotone in it. Cells are normally far wider than the box, which
+// then maps to p's own cell alone. Each candidate is decided by
+// geom.Band, which answers Dist <= Eps bit for bit and calls Hypot only
+// inside its rounding band.
+func (g *Grid) FirstCoincident() (i, j int, ok bool) {
+	const reach = geom.Eps * (1 + 0x1p-20)
+	band := geom.NewBand(geom.Eps)
+	for i, p := range g.pts {
+		x0, y0 := g.cellCoords(geom.Pt(p.X-reach, p.Y-reach))
+		x1, y1 := g.cellCoords(geom.Pt(p.X+reach, p.Y+reach))
+		j := -1
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				g.visitCell(x, y, func(k int32) {
+					q := g.pts[k]
+					if int(k) > i && (j < 0 || int(k) < j) && band.Within(p.X-q.X, p.Y-q.Y) {
+						j = int(k)
+					}
+				})
+			}
+		}
+		if j >= 0 {
+			return i, j, true
+		}
+	}
+	return 0, 0, false
+}
+
 // CellCount returns the number of grid cells (cols × rows; 0 for an
 // empty grid). Cell indices are row-major: c = row*cols + col. The count
 // is only invalidated by Rebuild, so callers may iterate cells while

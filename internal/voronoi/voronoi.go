@@ -103,19 +103,10 @@ func New(sites []geom.Point) (*Diagram, error) {
 func newPruned(sites []geom.Point) (*Diagram, error) {
 	n := len(sites)
 	g := spatial.NewGrid(sites)
-	// Coincident-site detection via the grid: for each i ascending, the
-	// smallest coincident j > i — the same pair the lexicographic
-	// all-pairs scan reports (Eq is Dist <= Eps, applied here exactly).
-	for i := 0; i < n; i++ {
-		minJ := -1
-		g.VisitNeighborhood(sites[i], geom.Eps, func(j int, d float64) {
-			if j > i && d <= geom.Eps && (minJ < 0 || j < minJ) {
-				minJ = j
-			}
-		})
-		if minJ >= 0 {
-			return nil, &ErrCoincidentSites{I: i, J: minJ}
-		}
+	// The grid reports the same coincident pair as the lexicographic
+	// all-pairs scan.
+	if i, j, ok := g.FirstCoincident(); ok {
+		return nil, &ErrCoincidentSites{I: i, J: j}
 	}
 
 	box := boundingBox(sites)
