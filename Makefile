@@ -47,11 +47,11 @@ race-repeat:
 	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestObserverEngineParity|TestStreamFaultEvents|TestGoldenEngineParity|TestGoldenReplayFrames|TestDecoderDigest)$$/^parallel$$' .
 	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestEngineParity|TestStepAllocationFree|TestTeleport|TestTraceRecording|TestCompactViewParity|TestIncrementalGridParity|TestViewIndexParityParallelEngine)$$' ./internal/sim
 
-# Fuzz smoke: every fuzz target runs 5 s of generated inputs beyond its
-# seed corpus, which `make race` only replays as plain tests. go test
-# fuzzes one target of one package per run. A failing input is written
-# under the package's testdata/fuzz/; it becomes a seed when committed
-# with its fix.
+# Fuzz smoke: each of the eight fuzz targets runs 5 s of generated
+# inputs beyond its seed corpus, which `make race` only replays as plain
+# tests. go test fuzzes one target of one package per run. A failing
+# input is written under the package's testdata/fuzz/; it becomes a seed
+# when committed with its fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime 5s ./internal/queen
@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzTailStream$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzCreate$$' -fuzztime 5s ./internal/serve
 
 # The speedup benchmarks for the parallel engine and sweep harness.
 bench:

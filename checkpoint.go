@@ -47,10 +47,6 @@ var (
 	// snapshot stored in it — a corrupt file, or a build whose
 	// execution semantics drifted from the one that saved it.
 	ErrRestoreMismatch = errors.New("waggle: restored state diverges from checkpoint snapshot")
-	// ErrRestoreConfig is returned by WithRestore when the positions
-	// and options passed to NewSwarm do not describe the checkpointed
-	// swarm.
-	ErrRestoreConfig = errors.New("waggle: checkpoint config does not match the swarm being built")
 )
 
 // SaveCheckpoint writes ck to path atomically (temp file + fsync +
@@ -195,56 +191,21 @@ func Restore(ck *Checkpoint) (*Restored, error) {
 			return nil, err
 		}
 	}
-	if err := s.finishRestore(ck, res.Radio, res.Messenger); err != nil {
+	// Replay the input log, verify the reached state against the stored
+	// snapshot, and seat the log so the resumed swarm keeps recording
+	// from genesis.
+	if err := replayInputs(s, res.Radio, res.Messenger, ck.Inputs); err != nil {
 		return nil, err
-	}
-	return res, nil
-}
-
-// newSwarmRestored is the WithRestore path of NewSwarm: the caller
-// passes the same positions and options the checkpoint was captured
-// with (verified) plus the checkpoint itself.
-// Messenger-coupled checkpoints need the full Restore entry point.
-func newSwarmRestored(positions []Point, o options) (*Swarm, error) {
-	ck := o.restore
-	o.restore = nil
-	if ck.Config.Messenger {
-		return nil, fmt.Errorf("%w: checkpoint couples a BackupMessenger; restore it with waggle.Restore", ErrRestoreConfig)
-	}
-	s, err := newSwarm(positions, o)
-	if err != nil {
-		return nil, err
-	}
-	got, want := s.ckptConfig(), ck.Config
-	// Older builds recorded their step engine in the reserved Engine
-	// slot; the engine never changed the computed execution, so the
-	// comparison ignores it.
-	want.Options.Engine = 0
-	if !reflect.DeepEqual(got, want) {
-		return nil, fmt.Errorf("%w: %s", ErrRestoreConfig, firstConfigDiff(got, want))
-	}
-	if err := s.finishRestore(ck, s.radio, nil); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// finishRestore replays the checkpoint's input log against a freshly
-// built swarm, verifies the reached state against the stored snapshot,
-// and seats the log so the resumed swarm keeps recording from genesis.
-func (s *Swarm) finishRestore(ck *Checkpoint, radio *Radio, m *BackupMessenger) error {
-	if err := replayInputs(s, radio, m, ck.Inputs); err != nil {
-		return err
 	}
 	got, err := s.captureState()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if !reflect.DeepEqual(got, ck.State) {
-		return fmt.Errorf("%w: %s", ErrRestoreMismatch, firstStateDiff(got, ck.State))
+		return nil, fmt.Errorf("%w: %s", ErrRestoreMismatch, firstStateDiff(got, ck.State))
 	}
 	s.rec.Reset(ck.Inputs)
-	return nil
+	return res, nil
 }
 
 // replayInputs re-executes the recorded API calls in order, through
@@ -637,20 +598,12 @@ func anyTrue(bs []bool) bool {
 // firstStateDiff names the first top-level State field that differs,
 // for actionable ErrRestoreMismatch messages.
 func firstStateDiff(got, want ckpt.State) string {
-	return firstFieldDiff(reflect.ValueOf(got), reflect.ValueOf(want))
-}
-
-// firstConfigDiff names the first top-level Config field that differs.
-func firstConfigDiff(got, want ckpt.Config) string {
-	return firstFieldDiff(reflect.ValueOf(got), reflect.ValueOf(want))
-}
-
-func firstFieldDiff(got, want reflect.Value) string {
-	t := got.Type()
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	t := g.Type()
 	for i := 0; i < t.NumField(); i++ {
-		if !reflect.DeepEqual(got.Field(i).Interface(), want.Field(i).Interface()) {
+		if !reflect.DeepEqual(g.Field(i).Interface(), w.Field(i).Interface()) {
 			return fmt.Sprintf("field %s: replayed %+v, checkpoint says %+v",
-				t.Field(i).Name, got.Field(i).Interface(), want.Field(i).Interface())
+				t.Field(i).Name, g.Field(i).Interface(), w.Field(i).Interface())
 		}
 	}
 	return "states differ (no top-level field mismatch?)"

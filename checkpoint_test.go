@@ -178,42 +178,6 @@ func TestCheckpointResumeCrossEngine(t *testing.T) {
 	}
 }
 
-// TestCheckpointWithRestoreOption pins the NewSwarm(WithRestore(ck))
-// path, including its config verification.
-func TestCheckpointWithRestoreOption(t *testing.T) {
-	cut, err := NewSwarm(ckptTestPositions(), ckptTestOptions()...)
-	if err != nil {
-		t.Fatalf("swarm: %v", err)
-	}
-	ckptPhase1(t, cut)
-	ck, err := cut.Checkpoint()
-	if err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-
-	// Mismatched options must be rejected, not silently replayed.
-	if _, err := NewSwarm(ckptTestPositions(), WithSeed(999), WithRestore(ck)); !errors.Is(err, ErrRestoreConfig) {
-		t.Fatalf("mismatched restore: got %v, want ErrRestoreConfig", err)
-	}
-
-	// Matching options resume.
-	resumed, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(), WithRestore(ck))...)
-	if err != nil {
-		t.Fatalf("WithRestore: %v", err)
-	}
-	ckptPhase2(t, resumed)
-
-	full, err := NewSwarm(ckptTestPositions(), ckptTestOptions()...)
-	if err != nil {
-		t.Fatalf("full swarm: %v", err)
-	}
-	ckptPhase1(t, full)
-	ckptPhase2(t, full)
-	if got, want := fingerprint(t, resumed), fingerprint(t, full); !reflect.DeepEqual(got, want) {
-		t.Fatalf("WithRestore resume diverged (t=%d vs %d)", got.Time, want.Time)
-	}
-}
-
 // faulted builds the full fault-tolerance stack: a jam-ramped radio
 // with a scripted outage and crash window, a self-healing messenger,
 // tracing and observability. The checkpoint is taken mid-plan, inside

@@ -154,7 +154,7 @@ func RotationalSymmetryOrder(pts []geom.Point) int {
 	if ref < 0 || refR <= geom.Eps {
 		return 1 // all points coincide with the centroid (impossible for distinct points, n>1)
 	}
-	refAngle := pts[ref].Sub(center).Angle()
+	refTheta := pts[ref].Sub(center).Angle()
 	count := 0
 	tol := 1e-6 * (1 + refR)
 	for _, q := range pts {
@@ -162,7 +162,7 @@ func RotationalSymmetryOrder(pts []geom.Point) int {
 		if math.Abs(q.Dist(center)-refR) > tol {
 			continue
 		}
-		theta := q.Sub(center).Angle() - refAngle
+		theta := q.Sub(center).Angle() - refTheta
 		if mapsOntoItself(pts, center, theta, tol) {
 			count++
 		}

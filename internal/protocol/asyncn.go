@@ -222,7 +222,7 @@ func (r *asyncNRobot) Err() error { return r.cfgErr }
 
 func (r *asyncNRobot) initFrom(view sim.View) {
 	r.rk.init()
-	r.geo = buildSwarmGeometry(view, r.cfg.Naming, true, r.sectors, r.endpoint.radiiCache())
+	r.geo = buildSwarmGeometry(view, r.cfg.Naming, true, r.sectors)
 	r.cfgErr = r.geo.err
 	radius := r.geo.radii[view.Self]
 	r.amp = r.cfg.AmplitudeFrac * radius
@@ -406,7 +406,7 @@ func (r *asyncNRobot) stepToCenter() geom.Point {
 			r.phase = phaseKappa
 			return r.legMove(r.kappaU)
 		}
-		dir := r.geo.slicers[r.geo.self].direction(bit.diameter, bit.side)
+		dir := r.geo.slicers[r.geo.self].direction(bit.diameter, bit.side, r.geo.sectors)
 		r.outDir = quantizeDir(dir, r.cfg.DirectionResolution).Unit()
 		r.phase = phaseSlice
 		r.resetChanges()

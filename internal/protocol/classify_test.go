@@ -37,7 +37,7 @@ func referenceClassify(ref geom.Vec, diameters int, d geom.Vec) (int, sideOf) {
 // must give the reference's sector as well.
 func checkClassify(t *testing.T, ref geom.Vec, tab *sectorTable, d geom.Vec, extra int) bool {
 	t.Helper()
-	s := newSlicer(ref, tab.diameters)
+	s := newSlicer(ref)
 	k, side := s.classify(d, tab)
 	wk, wside := referenceClassify(ref, tab.diameters, d)
 	if k != wk || side != wside {
@@ -93,10 +93,10 @@ func TestSlicerClassifyMatchesReference(t *testing.T) {
 			refs = append(refs, geom.V(cos*scale, sin*scale))
 		}
 		for _, ref := range refs {
-			s := newSlicer(ref, diameters)
+			s := newSlicer(ref)
 			for k := 0; k < diameters; k++ {
 				for side := sideOf(0); side <= 1; side++ {
-					dir := s.direction(k, side)
+					dir := s.direction(k, side, tab)
 					for _, mag := range magnitudes {
 						onDiameter++
 						if checkClassify(t, ref, tab, dir.Scale(mag), k) {
@@ -106,7 +106,7 @@ func TestSlicerClassifyMatchesReference(t *testing.T) {
 				}
 			}
 			for j := 0; j < 2*diameters; j++ {
-				theta := s.refAngle - (float64(j)+0.5)*math.Pi/float64(diameters)
+				theta := s.ref.Angle() - (float64(j)+0.5)*math.Pi/float64(diameters)
 				// Subnormal magnitudes too: there the rotation into the
 				// slicer's frame loses relative precision and the margin
 				// underflows, so only the fallback may answer.

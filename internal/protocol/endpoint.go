@@ -28,20 +28,6 @@ type Endpoint struct {
 	overheard []Received
 	sentBits  int
 	inflight  bool
-
-	// radii caches the granular-radii preprocessing across the behavior
-	// re-initialisations of this robot (see RadiiCache): the endpoint
-	// outlives the per-epoch behaviors Stabilizing discards.
-	radii RadiiCache
-}
-
-// radiiCache returns the endpoint's granular-radii cache; nil endpoints
-// (tests building geometry directly) compute uncached.
-func (e *Endpoint) radiiCache() *RadiiCache {
-	if e == nil {
-		return nil
-	}
-	return &e.radii
 }
 
 // newEndpoint creates the endpoint of robot self in an n-robot system.

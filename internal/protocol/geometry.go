@@ -85,15 +85,13 @@ func (t tableNaming) Defined(j int) bool { return t.labelOf[j] != nil }
 // recipient label l to diameter l+1; otherwise label l is on diameter l.
 // sectors is the swarm's shared sector table, which fixes the diameter
 // count: n for the synchronous protocols, n+1 with κ, and far fewer
-// than robots for the §5 bounded-slice protocol. cache, when non-nil,
-// reuses radii work from this robot's previous initialisations
-// (bit-identical either way).
-func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, sectors *sectorTable, cache *RadiiCache) *swarmGeometry {
+// than robots for the §5 bounded-slice protocol.
+func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, sectors *sectorTable) *swarmGeometry {
 	n := view.N()
 	g := &swarmGeometry{
 		self:    view.Self,
 		p0:      append([]geom.Point(nil), view.Points...),
-		radii:   cache.Radii(view.Points),
+		radii:   granularRadii(view.Points),
 		kappa:   extraKappa,
 		sectors: sectors.filled(),
 	}
@@ -128,7 +126,7 @@ func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, sectors *
 				}
 				continue
 			}
-			g.slicers[j] = newSlicer(horizon, g.sectors.diameters)
+			g.slicers[j] = newSlicer(horizon)
 		}
 		if names, ok := naming.NewSECNaming(g.p0, circle); ok {
 			g.names = names
@@ -167,7 +165,7 @@ func (g *swarmGeometry) secTables(circle geom.Circle) tableNaming {
 func (g *swarmGeometry) fillNorthSlicers() {
 	north := geom.V(0, 1)
 	for j := range g.slicers {
-		g.slicers[j] = newSlicer(north, g.sectors.diameters)
+		g.slicers[j] = newSlicer(north)
 	}
 }
 
@@ -225,7 +223,7 @@ func (g *swarmGeometry) diameterRecipient(k int) (int, bool) {
 // kappaDir returns the positive unit direction of the idle slice κ of
 // robot j.
 func (g *swarmGeometry) kappaDir(j int) geom.Vec {
-	return g.slicers[j].direction(0, 0)
+	return g.slicers[j].direction(0, 0, g.sectors)
 }
 
 func invertLabels(labels []int) []int {

@@ -82,28 +82,25 @@ type sideOf int
 
 // slicer computes and classifies the sliced-granular directions of §3.2,
 // §3.4 and §4.2 for one sender, in the coordinates of one observer. It
-// is configured with the sender's reference direction (local North for
+// holds the sender's reference direction (local North for
 // sense-of-direction schemes, the SEC horizon direction for the SEC
-// scheme) and the diameter count.
+// scheme); the diameter count comes from the swarm's sector table.
 type slicer struct {
-	ref       geom.Vec // unit reference direction (diameter 0, positive end)
-	refAngle  float64  // ref.Angle(), fixed with ref
-	diameters int
+	ref geom.Vec // unit reference direction (diameter 0, positive end)
 }
 
 // newSlicer builds a slicer; ref must be non-zero.
-func newSlicer(ref geom.Vec, diameters int) slicer {
-	u := ref.Unit()
-	return slicer{ref: u, refAngle: u.Angle(), diameters: diameters}
+func newSlicer(ref geom.Vec) slicer {
+	return slicer{ref: ref.Unit()}
 }
 
 // direction returns the unit vector of the positive (side-0) end of
 // diameter k when side is 0, or the negative end when side is 1.
 // Diameters are numbered clockwise from the reference direction, spaced
-// pi/diameters apart. "Clockwise" is the fixed local convention; robots
-// sharing handedness agree on it (chirality).
-func (s slicer) direction(k int, side sideOf) geom.Vec {
-	theta := float64(k) * math.Pi / float64(s.diameters)
+// π/D apart for t's diameter count D. "Clockwise" is the fixed local
+// convention; robots sharing handedness agree on it (chirality).
+func (s slicer) direction(k int, side sideOf, t *sectorTable) geom.Vec {
+	theta := float64(k) * math.Pi / float64(t.diameters)
 	if side == 1 {
 		theta += math.Pi
 	}
@@ -112,11 +109,11 @@ func (s slicer) direction(k int, side sideOf) geom.Vec {
 }
 
 // classify maps an observed displacement to the nearest (diameter, side)
-// pair. The displacement must be non-zero. t is the sector table of the
-// slicer's diameter count: a displacement it certifies is classified
-// without atan2 or integer division, with the result classifyAngle
-// gives (DESIGN.md §5m); every other displacement, NaN and ±Inf
-// included, goes through classifyAngle itself.
+// pair. The displacement must be non-zero. t is the swarm's sector
+// table, which fixes the diameter count: a displacement it certifies is
+// classified without atan2 or integer division, with the result
+// classifyAngle gives (DESIGN.md §5m); every other displacement, NaN and
+// ±Inf included, goes through classifyAngle itself.
 func (s slicer) classify(d geom.Vec, t *sectorTable) (k int, side sideOf) {
 	return t.split(s.sector(d, t, -1))
 }
@@ -130,24 +127,20 @@ func (s slicer) sector(d geom.Vec, t *sectorTable, guess int) int {
 	if m, ok := t.certify(s.ref, d, guess); ok {
 		return m
 	}
-	k, side := s.classifyAngle(d)
-	return k + int(side)*s.diameters
+	return s.classifyAngle(d, t)
 }
 
-// classifyAngle is classify by the clockwise angle of d from the
-// reference direction, rounded to the nearest half-step π/diameters.
-func (s slicer) classifyAngle(d geom.Vec) (k int, side sideOf) {
-	alpha := geom.NormalizeAngle(s.refAngle - d.Angle())
-	halfStep := math.Pi / float64(s.diameters)
-	m := int(math.Round(alpha/halfStep)) % (2 * s.diameters)
+// classifyAngle is sector by the clockwise angle of d from the
+// reference direction, rounded to the nearest half-step π/D for t's
+// diameter count D.
+func (s slicer) classifyAngle(d geom.Vec, t *sectorTable) int {
+	alpha := geom.NormalizeAngle(s.ref.Angle() - d.Angle())
+	halfStep := math.Pi / float64(t.diameters)
+	m := int(math.Round(alpha/halfStep)) % (2 * t.diameters)
 	if m < 0 {
-		m += 2 * s.diameters
+		m += 2 * t.diameters
 	}
-	k = m % s.diameters
-	if m >= s.diameters {
-		side = 1
-	}
-	return k, side
+	return m
 }
 
 // sectorMargin is the δ of the sector certificate: a displacement

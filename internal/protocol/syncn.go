@@ -145,7 +145,7 @@ func (r *syncNRobot) Step(view sim.View) geom.Point {
 	if !ok {
 		return r.rk.stay() // silent
 	}
-	dir := r.geo.slicers[r.geo.self].direction(bit.diameter, bit.side)
+	dir := r.geo.slicers[r.geo.self].direction(bit.diameter, bit.side, r.geo.sectors)
 	mag := bit.mag
 	if mag == 0 {
 		mag = 1
@@ -163,7 +163,7 @@ func (r *syncNRobot) Err() error { return r.cfgErr }
 
 func (r *syncNRobot) initFrom(view sim.View) {
 	r.rk.init()
-	r.geo = buildSwarmGeometry(view, r.cfg.Naming, false, r.sectors, r.endpoint.radiiCache())
+	r.geo = buildSwarmGeometry(view, r.cfg.Naming, false, r.sectors)
 	r.cfgErr = r.geo.err
 	r.decodable = make([]bool, view.N())
 	for j := range r.decodable {

@@ -392,11 +392,8 @@ func (w *World) updateGridIncremental(n int) {
 		return
 	}
 	for _, i := range moved {
-		w.viewIndex.Move(int(i), w.snapshot[i], w.pos[i])
+		w.viewIndex.Move(int(i), w.pos[i])
 	}
-	// The engine does not consume dirty cells (the protocol layer tracks
-	// its own); clear per step so the list stays short.
-	w.viewIndex.ClearDirty()
 }
 
 // syncSoA refreshes the structure-of-arrays mirrors of the per-robot hot

@@ -35,9 +35,6 @@ func TestRebuildEmptyGrid(t *testing.T) {
 	if rings != 1 {
 		t.Fatalf("VisitRings on empty grid called ringFn %d times, want the single +Inf flush", rings)
 	}
-	if g.DirtyWithin(geom.Pt(0, 0), 10) {
-		t.Fatal("empty grid reports dirty cells")
-	}
 	// cellCoords itself must be safe for any query point.
 	if ix, iy := g.cellCoords(geom.Pt(1e9, 1e9)); ix != 0 || iy != 0 {
 		t.Fatalf("cellCoords on empty grid = (%d, %d)", ix, iy)
@@ -128,18 +125,11 @@ func TestGridMoveMatchesRebuild(t *testing.T) {
 					default: // move out and exactly back
 						mid := geom.Pt(from.X+100, from.Y-100)
 						pts[i] = mid
-						inc.Move(i, from, mid)
-						if !inc.DirtyWithin(mid, 0) {
-							t.Fatal("destination cell not dirty after Move")
-						}
+						inc.Move(i, mid)
 						to = from
-						from = mid
 					}
 					pts[i] = to
-					inc.Move(i, from, to)
-					if !inc.DirtyWithin(to, 0) || !inc.DirtyWithin(from, 0) {
-						t.Fatal("Move left source or destination cell clean")
-					}
+					inc.Move(i, to)
 				}
 				if f := inc.MovedFraction(); f < 0 || f > 1 {
 					t.Fatalf("MovedFraction = %v", f)
@@ -171,75 +161,14 @@ func TestGridMoveMatchesRebuild(t *testing.T) {
 					}
 				}
 				// Periodically collapse the overlay, as the engine's
-				// dirty-fraction fallback does.
+				// moved-fraction fallback does.
 				if round%7 == 6 {
 					inc.Rebuild(pts)
-					if inc.MovedFraction() != 0 || len(inc.DirtyCells()) != 0 {
+					if inc.MovedFraction() != 0 {
 						t.Fatal("Rebuild did not reset the incremental overlay")
 					}
-				} else {
-					inc.ClearDirty()
-					if n > 0 && inc.DirtyWithin(pts[rng.Intn(n)], 1e9) {
-						t.Fatal("ClearDirty left dirty cells behind")
-					}
 				}
 			}
-		})
-	}
-}
-
-// TestDynamicRadiiMatchesBrute pins DynamicRadii.Update bit-identical
-// to the from-scratch computation across random walks, including
-// coincident points (radius zero), sub-cutoff sizes, and a mid-walk
-// length change.
-func TestDynamicRadiiMatchesBrute(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 64, 4096} {
-		n := n
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(131 + n)))
-			pts := make([]geom.Point, n)
-			for i := range pts {
-				pts[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-			}
-			var d DynamicRadii
-			check := func(stage string, got []float64) {
-				t.Helper()
-				want := make([]float64, len(pts))
-				nearestRadiiBruteInto(want, pts)
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d radii, want %d", stage, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s: radius %d = %v, want %v", stage, i, got[i], want[i])
-					}
-				}
-			}
-			check("initial", d.Update(pts))
-			rounds := 25
-			if n > 1000 {
-				rounds = 8
-			}
-			for round := 0; round < rounds; round++ {
-				if n > 0 {
-					moves := rng.Intn(n/3+1) + 1 // sometimes past the rebuild fraction
-					for m := 0; m < moves; m++ {
-						i := rng.Intn(n)
-						switch rng.Intn(3) {
-						case 0:
-							pts[i] = geom.Pt(pts[i].X+rng.NormFloat64(), pts[i].Y+rng.NormFloat64())
-						case 1:
-							pts[i] = geom.Pt(rng.Float64()*2000-500, rng.Float64()*2000-500)
-						default:
-							pts[i] = pts[rng.Intn(n)] // coincidence: radius collapses to zero
-						}
-					}
-				}
-				check(fmt.Sprintf("round %d", round), d.Update(pts))
-			}
-			// Length change forces the full path.
-			pts = append(pts, geom.Pt(-3, -7))
-			check("grown", d.Update(pts))
 		})
 	}
 }
@@ -282,9 +211,8 @@ func TestAppendCellWindowMatchesCellVisits(t *testing.T) {
 					if m%5 == 0 {
 						to = geom.Pt(rng.Float64()*1600-300, rng.Float64()*1600-300)
 					}
-					from := pts[i]
 					pts[i] = to
-					g.Move(i, from, to)
+					g.Move(i, to)
 				}
 				if g.MovedFraction() == 0 {
 					t.Fatal("no point left its bucket")

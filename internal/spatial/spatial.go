@@ -25,13 +25,12 @@
 // more rings and remain correct (worst case O(n), the brute-force cost).
 //
 // Between rebuilds the grid supports incremental updates: Move splices a
-// single point between buckets in O(1) and marks both cells in a dirty
-// bitmap, so per-step simulator snapshots where few robots moved skip
-// the O(n) Rebuild entirely. Moved points may drift outside the bounding
-// box the cell geometry was computed from; cellCoords clamps them into
-// edge cells, which keeps every query exact (the grid only ever narrows
-// candidates — final predicates are evaluated by the caller) and only
-// degrades bucket balance. Callers bound that degradation by falling
+// single point between buckets in O(1), so per-step simulator snapshots
+// where few robots moved skip the O(n) Rebuild entirely. Moved points may
+// drift outside the bounding box the cell geometry was computed from;
+// cellCoords clamps them into edge cells, which keeps every query exact
+// (the grid only ever narrows candidates — final predicates are
+// evaluated by the caller) and only degrades bucket balance. Callers bound that degradation by falling
 // back to Rebuild once MovedFraction passes a threshold (the simulator
 // uses ~25%).
 package spatial
@@ -83,12 +82,6 @@ type Grid struct {
 	extraSlot    []int32
 	extraUsed    []int32 // cells whose extra list has been appended to
 	movedN       int
-
-	// Dirty-cell tracking: a bitmap plus the list of set bits. Move
-	// marks the source and destination cells; Rebuild and ClearDirty
-	// reset the set. Invariant: dirty has exactly the bits in dirtyList.
-	dirty     []uint64
-	dirtyList []int32
 }
 
 // NewGrid indexes pts. The slice is referenced, not copied.
@@ -173,19 +166,11 @@ func (g *Grid) Rebuild(pts []geom.Point) {
 		g.items[g.counts[c]] = int32(i)
 		g.counts[c]++
 	}
-
-	words := (cells + 63) / 64
-	if cap(g.dirty) < words {
-		g.dirty = make([]uint64, words)
-	}
-	// The cap region is zero by invariant: every set bit is in
-	// dirtyList, and resetOverlay cleared them all.
-	g.dirty = g.dirty[:words]
 }
 
 // resetOverlay discards the incremental state: extra lists are
-// truncated (capacity kept), the dirty set is cleared, and the overlay
-// is rebuilt lazily on the next Move.
+// truncated (capacity kept) and the overlay is rebuilt lazily on the
+// next Move.
 func (g *Grid) resetOverlay() {
 	for _, c := range g.extraUsed {
 		if int(c) < len(g.extra) {
@@ -195,7 +180,6 @@ func (g *Grid) resetOverlay() {
 	g.extraUsed = g.extraUsed[:0]
 	g.movedN = 0
 	g.overlayReady = false
-	g.ClearDirty()
 }
 
 // buildOverlay initialises base/cellOf from the CSR layout.
@@ -223,30 +207,24 @@ func (g *Grid) buildOverlay() {
 	g.overlayReady = true
 }
 
-// Move re-indexes point i after it moved from `from` to `to`, splicing
-// it between buckets in O(1) and updating g.pts[i] in place. Every
-// position change between Rebuilds must go through Move (or trigger a
-// Rebuild): the overlay tracks cells by what it was told, not by
-// re-scanning. `from` must be the previous value of pts[i]. Both the
-// source and destination cells are marked dirty — a within-cell move
-// marks its one cell, since distances to the point still changed.
+// Move re-indexes point i after it moved to `to`, splicing it between
+// buckets in O(1) and updating g.pts[i] in place. Every position change
+// between Rebuilds must go through Move (or trigger a Rebuild): the
+// overlay tracks cells by what it was told, not by re-scanning.
 //
 // Moved points may lie outside the bounding box of the last Rebuild;
 // they are clamped into edge cells, which keeps queries exact but skews
 // bucket balance — watch MovedFraction and Rebuild past ~25%.
-func (g *Grid) Move(i int, from, to geom.Point) {
-	_ = from // the overlay already knows the source cell; kept for symmetry and debuggability
+func (g *Grid) Move(i int, to geom.Point) {
 	if !g.overlayReady {
 		g.buildOverlay()
 	}
 	g.pts[i] = to
 	cf := g.cellOf[i]
 	ct := int32(g.cellIndex(to))
-	g.markDirty(cf)
 	if ct == cf {
 		return
 	}
-	g.markDirty(ct)
 	if cf != g.base[i] {
 		g.extraRemove(int32(i), cf)
 	}
@@ -287,67 +265,6 @@ func (g *Grid) MovedFraction() float64 {
 		return 0
 	}
 	return float64(g.movedN) / float64(len(g.pts))
-}
-
-func (g *Grid) markDirty(c int32) {
-	w, b := c>>6, uint64(1)<<(uint(c)&63)
-	if g.dirty[w]&b == 0 {
-		g.dirty[w] |= b
-		g.dirtyList = append(g.dirtyList, c)
-	}
-}
-
-// DirtyCells returns the cells marked dirty since the last ClearDirty
-// or Rebuild. The slice is shared and invalidated by the next Move;
-// callers must not retain or mutate it.
-func (g *Grid) DirtyCells() []int32 { return g.dirtyList }
-
-// ClearDirty empties the dirty-cell set.
-func (g *Grid) ClearDirty() {
-	for _, c := range g.dirtyList {
-		g.dirty[c>>6] &^= uint64(1) << (uint(c) & 63)
-	}
-	g.dirtyList = g.dirtyList[:0]
-}
-
-// DirtyWithin reports whether any dirty cell intersects the axis-aligned
-// square covering the disc of the given radius around p (widened by one
-// cell against boundary rounding, like VisitNeighborhood's cull). It is
-// the dirty-set analogue of a radius query: if no point within radius r
-// of p moved since the last ClearDirty, it returns false.
-func (g *Grid) DirtyWithin(p geom.Point, r float64) bool {
-	if len(g.dirtyList) == 0 || len(g.pts) == 0 {
-		return false
-	}
-	if r < 0 {
-		r = 0
-	}
-	if math.IsInf(r, 1) {
-		return true
-	}
-	x0 := g.clampCol(int(math.Floor((p.X-r-g.minX)/g.cellW)) - 1)
-	x1 := g.clampCol(int(math.Floor((p.X+r-g.minX)/g.cellW)) + 1)
-	y0 := g.clampRow(int(math.Floor((p.Y-r-g.minY)/g.cellH)) - 1)
-	y1 := g.clampRow(int(math.Floor((p.Y+r-g.minY)/g.cellH)) + 1)
-	area := (x1 - x0 + 1) * (y1 - y0 + 1)
-	if len(g.dirtyList) < area {
-		for _, c := range g.dirtyList {
-			cx, cy := int(c)%g.cols, int(c)/g.cols
-			if cx >= x0 && cx <= x1 && cy >= y0 && cy <= y1 {
-				return true
-			}
-		}
-		return false
-	}
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			c := y*g.cols + x
-			if g.dirty[c>>6]&(uint64(1)<<(uint(c)&63)) != 0 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // cellCoords returns the (column, row) of the cell containing p, clamped

@@ -47,7 +47,6 @@ type options struct {
 	faultPlan        *FaultPlan
 	faultRadio       *Radio
 	observer         *Observer
-	restore          *Checkpoint
 	streamPath       string
 }
 
@@ -160,23 +159,10 @@ func WithActivationProbability(p float64) Option {
 	return optionFunc(func(o *options) { o.activationProb = p })
 }
 
-// WithRestore resumes the swarm being built from a checkpoint instead
-// of starting at instant 0. The other options (and positions) passed to
-// NewSwarm must describe the same swarm the checkpoint was captured
-// from — NewSwarm verifies this and fails with ErrRestoreConfig on any
-// mismatch. Checkpoints that couple a
-// BackupMessenger cannot be restored through NewSwarm (it has no way to
-// return the messenger); use Restore for those.
-func WithRestore(ck *Checkpoint) Option {
-	return optionFunc(func(o *options) { o.restore = ck })
-}
-
 // WithStream attaches a waggle-stream/v1 movement stream writing to
-// path (see Swarm.NewStreamWriter) as soon as the swarm is built —
-// for a restored swarm, after the replay completes, so restoring never
-// re-streams history the file already holds. Streaming is a
-// preference about how state is written, not part of the run's
-// identity: it is not recorded in the input log.
+// path (see Swarm.NewStreamWriter) as soon as the swarm is built.
+// Streaming is a preference about how state is written, not part of the
+// run's identity: it is not recorded in the input log.
 func WithStream(path string) Option {
 	return optionFunc(func(o *options) { o.streamPath = path })
 }

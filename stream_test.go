@@ -187,7 +187,8 @@ func TestStreamTornTail(t *testing.T) {
 // TestStreamResumeAppend pins the evict/resume path: a stream created
 // at instant 0, closed at a checkpoint, and reopened by the restored
 // swarm keeps growing the same file — and the full file still replays
-// to the restored run's live digest.
+// to the restored run's live digest. It resumes the way waggle-serve
+// does: Restore, then Swarm.NewStreamWriter on the same path.
 func TestStreamResumeAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wstream")
 	s, err := NewSwarm(ckptTestPositions(), append(ckptTestOptions(), WithStream(path))...)
@@ -202,10 +203,13 @@ func TestStreamResumeAppend(t *testing.T) {
 	if err := s.Stream().Close(); err != nil {
 		t.Fatalf("close stream: %v", err)
 	}
-	resumed, err := NewSwarm(ckptTestPositions(),
-		append(ckptTestOptions(), WithRestore(ck), WithStream(path))...)
+	res, err := Restore(ck)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
+	}
+	resumed := res.Swarm
+	if _, err := resumed.NewStreamWriter(path); err != nil {
+		t.Fatalf("reopen stream: %v", err)
 	}
 	ckptPhase2(t, resumed)
 	live := liveTraceDigest(t, resumed)

@@ -137,19 +137,11 @@ func NewSwarm(positions []Point, opts ...Option) (*Swarm, error) {
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	var s *Swarm
-	var err error
-	if o.restore != nil {
-		s, err = newSwarmRestored(positions, o)
-	} else {
-		s, err = newSwarm(positions, o)
-	}
+	s, err := newSwarm(positions, o)
 	if err != nil {
 		return nil, err
 	}
 	if o.streamPath != "" {
-		// Attached only after construction (and any restore replay)
-		// completes, so replayed history is never re-streamed.
 		if _, err := s.NewStreamWriter(o.streamPath); err != nil {
 			return nil, err
 		}
