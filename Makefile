@@ -33,9 +33,13 @@ race:
 # Race-repeat gate for the step engine's concurrent paths, which the
 # root tests force through the simulator's engine hook (the facade
 # always runs the adaptive engine): the fault injector's per-observer
-# event buffers are written from parallel-engine workers, the batched
-# compact-view workers share the grid while each writes its own
-# gather, position and key buffers, and the robots of a
+# event buffers are written from parallel-engine workers, and an
+# injector rewrites each worker's views there
+# (TestInjectorViewPerturbationReachesBehavior); every worker builds
+# its views in its own scratch while the batched compact-view workers
+# share the grid; one instant of a 1024-robot dense world keeps under
+# 1 MiB of view buffers on both compute paths (TestViewHeapPerWorker);
+# and the robots of a
 # protocol swarm initialise and decode concurrently against one shared
 # sector table, which also holds the swarm's Welzl order for every
 # robot's smallest enclosing circle (TestDecoderDigest's parallel
@@ -45,9 +49,9 @@ race:
 # interleave.
 race-repeat:
 	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestObserverEngineParity|TestStreamFaultEvents|TestGoldenEngineParity|TestGoldenReplayFrames|TestDecoderDigest)$$/^parallel$$' .
-	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestEngineParity|TestStepAllocationFree|TestTeleport|TestTraceRecording|TestCompactViewParity|TestIncrementalGridParity|TestViewIndexParityParallelEngine)$$' ./internal/sim
+	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestEngineParity|TestStepAllocationFree|TestTeleport|TestTraceRecording|TestCompactViewParity|TestIncrementalGridParity|TestViewIndexParityParallelEngine|TestInjectorViewPerturbationReachesBehavior|TestViewHeapPerWorker)$$' ./internal/sim
 
-# Fuzz smoke: each of the eight fuzz targets runs 5 s of generated
+# Fuzz smoke: each of the nine fuzz targets runs 5 s of generated
 # inputs beyond its seed corpus, which `make race` only replays as plain
 # tests. go test fuzzes one target of one package per run. A failing
 # input is written under the package's testdata/fuzz/; it becomes a seed
@@ -61,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzTailStream$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzCreate$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSpectate$$' -fuzztime 5s ./internal/serve
 
 # The speedup benchmarks for the parallel engine and sweep harness.
 bench:

@@ -334,6 +334,22 @@ func TestNewInjectorValidation(t *testing.T) {
 	}
 }
 
+// TestNewInjectorAllocations: compiling a plan without DropSight events
+// allocates no per-robot drop masks, so the allocation count does not
+// grow with n (one n-long mask per robot would be n allocations).
+func TestNewInjectorAllocations(t *testing.T) {
+	const n = 4096
+	plan := Plan{Events: []Event{{Kind: Crash, Robot: 1, At: 5, Until: 8}}}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := NewInjector(plan, n, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("NewInjector of a crash-only plan at n=%d allocates %.0f objects, want at most 8", n, allocs)
+	}
+}
+
 func TestKindString(t *testing.T) {
 	for k := Crash; k <= JamRamp; k++ {
 		if s := k.String(); s == "" || s == "Kind(0)" {

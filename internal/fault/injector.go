@@ -40,8 +40,10 @@ type Injector struct {
 
 	// dropMask holds one full-visibility mask per robot for DropSight
 	// perturbations of views that had no Visible slice of their own.
-	// Each robot owns exactly one mask, so concurrent PerturbView calls
-	// never share one.
+	// Robot i's mask is allocated the first time a DropSight event
+	// reaches such a view of robot i, so a plan without DropSight events
+	// allocates none. Only robot i's PerturbView touches slot i, so
+	// concurrent calls never share one.
 	dropMask [][]bool
 
 	// events buffers the fault events raised since BeginStep for the
@@ -74,9 +76,6 @@ func NewInjector(plan Plan, n int, seed int64) (*Injector, error) {
 		prevOutage: make([]bool, n),
 		dropMask:   make([][]bool, n),
 		events:     make([][]obs.Event, n+1),
-	}
-	for i := range inj.dropMask {
-		inj.dropMask[i] = make([]bool, n)
 	}
 	return inj, nil
 }
@@ -238,10 +237,11 @@ func (inj *Injector) FilterActive(t int, active []int) []int {
 }
 
 // PerturbView implements sim.Injector: sensor noise and dropped
-// sightings, rewritten into the observer's own scratch slices. Safe
-// under the parallel engine — every random draw is keyed by
-// (seed, t, observer, target, event) and the only mutable state touched
-// is the observer's own.
+// sightings, rewritten in place into the view's slices, which the
+// observer's worker owns until its Step returns. Safe under the
+// parallel engine — every random draw is keyed by
+// (seed, t, observer, target, event) and the only injector state
+// touched is the observer's own.
 func (inj *Injector) PerturbView(t, observer int, frame geom.Frame, view sim.View) sim.View {
 	for idx, e := range inj.plan.Events {
 		if !e.active(t) || !e.hits(observer) {
@@ -276,6 +276,9 @@ func (inj *Injector) PerturbView(t, observer int, frame geom.Frame, view sim.Vie
 				continue
 			}
 			if view.Visible == nil {
+				if inj.dropMask[observer] == nil {
+					inj.dropMask[observer] = make([]bool, inj.n)
+				}
 				mask := inj.dropMask[observer]
 				for j := range mask {
 					mask[j] = true

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,6 +72,69 @@ func FuzzCreate(f *testing.F) {
 		}
 		if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
 			t.Fatalf("delete after create %q left %v (%v)", body, left, err)
+		}
+	})
+}
+
+// FuzzSpectate sends arbitrary query strings and Last-Event-ID headers
+// to the spectate endpoint of a streaming session in an in-process
+// server. The contract under attack: every request is served (200, a
+// batch or an event stream) or refused as the client's mistake (400) —
+// never a 500 or a panic. MaxObserveWait is short, so a long-poll past
+// the end of the stream returns within it.
+func FuzzSpectate(f *testing.F) {
+	for _, seed := range []struct{ query, lastEventID string }{
+		{"", ""},
+		{"offset=0", ""},
+		{"offset=-1&max=1", ""},
+		{"offset=7", ""},
+		{"offset=-5", ""},
+		{"offset=9223372036854775807&wait=1h", ""},
+		{"offset=%zz;max=2", ""},
+		{"max=0", ""},
+		{"max=99999999", ""},
+		{"wait=-1s", ""},
+		{"wait=soon", ""},
+		{"sse=1&wait=0s", "0"},
+		{"sse=1", "12"},
+		{"sse=1&offset=3", "x"},
+		{"", "-3"},
+	} {
+		f.Add(seed.query, seed.lastEventID)
+	}
+	s, err := New(Options{Dir: f.TempDir(), IdleAfter: time.Hour, Stream: true, MaxObserveWait: 10 * time.Millisecond}, obs.New(256))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	h := s.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(`{"positions":[[0,0],[10,0],[3,7]],"synchronous":true,"seed":7}`)))
+	var created CreateResponse
+	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &created) != nil {
+		f.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+	}
+	sessPath := "/v1/sessions/" + created.ID
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", sessPath+"/step", strings.NewReader(`{"steps":5}`)))
+	if rec.Code != http.StatusOK {
+		f.Fatalf("step: status %d: %s", rec.Code, rec.Body)
+	}
+
+	f.Fuzz(func(t *testing.T, query, lastEventID string) {
+		req := httptest.NewRequest("GET", sessPath+"/spectate", nil)
+		req.URL.RawQuery = query
+		if lastEventID != "" {
+			req.Header.Set("Last-Event-ID", lastEventID)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+			t.Fatalf("spectate ?%s (Last-Event-ID %q): status %d: %s", query, lastEventID, rec.Code, rec.Body)
 		}
 	})
 }

@@ -98,8 +98,10 @@ func scaleWorld(b *testing.B, n int, compact bool) *World {
 // BenchmarkStepScale times one instant of the scale swarm after a
 // warm-up: sync activates every robot (a full grid rebuild per instant),
 // sparse a rotating 5% block (the incremental grid splice). Compact
-// views run at every size; dense views only at n=10000, because their
-// scratch is O(n) per robot: 1.6 GB there, 160 GB at n=100000.
+// views run at every size; dense views only at n=10000, for time: their
+// buffers are per worker, but each dense view still costs O(n) to build,
+// so a synchronous dense instant is O(n²), about 100 times the n=10000
+// row's time at n=100000.
 func BenchmarkStepScale(b *testing.B) {
 	for _, sz := range []struct{ n, warm int }{{10_000, 3}, {100_000, 2}, {1_000_000, 1}} {
 		for _, v := range []struct {

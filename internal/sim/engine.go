@@ -39,13 +39,16 @@ const (
 // more than the O(n) view construction it parallelises.
 const parallelMinActive = 32
 
-// viewScratch holds one robot's reusable view buffers. Each robot owns
-// exactly one scratch slot, so concurrent workers never share one; the
-// slices handed to Behavior.Step stay valid (and unchanging) until that
-// same robot's next activation. The dense buffers (points/ids/visible)
-// and the compact buffers (cpts/cidx/cids) are independent: a robot in
-// compact mode never sizes the O(n) dense slices.
-type viewScratch struct {
+// cellBatch is one compute worker's scratch. A view lives only until
+// Behavior.Step returns, so every view a worker builds lands in its
+// cellBatch and one set of buffers serves every robot the worker steps.
+// The dense buffers (points/ids/visible) and the compact ones
+// (cpts/cidx/cids) are sized on first use, so a worker that builds only
+// compact views never sizes the O(n) dense slices. Batched compact-view
+// construction adds the active residents of the cell being processed,
+// the candidate superset of their sensor discs with each candidate's
+// snapshot position, and one resident's visible candidates as sort keys.
+type cellBatch struct {
 	points  []geom.Point
 	ids     []int
 	visible []bool
@@ -53,13 +56,7 @@ type viewScratch struct {
 	cpts []geom.Point
 	cidx []int
 	cids []int
-}
 
-// cellBatch holds one worker's reusable buffers for batched compact-view
-// construction: the active residents of the cell being processed, the
-// candidate superset of their sensor discs with each candidate's
-// snapshot position, and one resident's visible candidates as sort keys.
-type cellBatch struct {
 	residents []int32
 	cand      []int32
 	pos       []geom.Point
@@ -98,94 +95,77 @@ func (w *World) useParallel(activeLen int) bool {
 }
 
 // computeMoves fills w.dests[k] / w.errs[k] with the destination of
-// active[k], either in place or over a worker pool. Workers pull work
-// from an atomic counter (work stealing), but every result is written to
-// its own slot, so the outcome is independent of scheduling. Both the
-// sequential and the parallel path run behaviors under safeComputeMove,
-// so a panic surfaces as the same per-robot error in every mode.
+// active[k]. The units of work are the active robots or, when compact
+// views run over the grid, the grid's cells (computeCell). They run on
+// the calling goroutine, or on a worker pool whose workers pull units
+// from an atomic counter (work stealing). Each worker builds its views
+// in its own scratch and writes every result to its own slot, so the
+// outcome is independent of scheduling.
 func (w *World) computeMoves(active []int) {
-	if w.compact && w.viewIndexActive {
-		w.computeMovesBatched(active)
-		return
-	}
-	if !w.useParallel(len(active)) {
+	batched := w.compact && w.viewIndexActive
+	if batched {
 		for k, i := range active {
-			w.dests[k], w.errs[k] = w.safeComputeMove(i)
+			w.activeSlot[i] = int32(k)
 		}
-		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(active) {
-		workers = len(active)
+	parallel, workers := w.useParallel(len(active)), 1
+	if parallel {
+		workers = min(runtime.GOMAXPROCS(0), len(active))
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(active) {
-					return
-				}
-				w.dests[k], w.errs[k] = w.safeComputeMove(active[k])
-			}
-		}()
+	if len(w.workers) < workers {
+		// Keep the warmed scratches when the worker count grows.
+		w.workers = append(w.workers, make([]cellBatch, workers-len(w.workers))...)
 	}
-	wg.Wait()
-}
-
-// computeMovesBatched is the compact-view fast path: instead of one
-// grid-window walk per observer, workers claim grid cells, gather each
-// cell's candidate superset once (the window of the cell under its
-// residents' largest sensor radius) together with the candidates'
-// positions, and build every active resident's view by filtering that
-// shared list with the exact sensor predicate — amortising the window
-// walk and keeping the filter streaming over one cell's working set.
-// Every destination still lands in its own active slot, so the
-// execution is identical to the per-robot path in every engine mode.
-func (w *World) computeMovesBatched(active []int) {
-	for k, i := range active {
-		w.activeSlot[i] = int32(k)
-	}
-	cells := w.viewIndex.CellCount()
-	if !w.useParallel(len(active)) {
-		w.ensureCellScratch(1)
-		for c := 0; c < cells; c++ {
-			w.computeCell(c, &w.cellScratch[0])
-		}
+	if !parallel {
+		var next atomic.Int64
+		w.work(active, batched, &next, &w.workers[0])
 	} else {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(active) {
-			workers = len(active)
-		}
-		w.ensureCellScratch(workers)
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
-		for wk := 0; wk < workers; wk++ {
-			sc := &w.cellScratch[wk]
+		for wk := range workers {
+			sc := &w.workers[wk]
 			go func() {
 				defer wg.Done()
-				for {
-					c := int(next.Add(1)) - 1
-					if c >= cells {
-						return
-					}
-					w.computeCell(c, sc)
-				}
+				w.work(active, batched, &next, sc)
 			}()
 		}
 		wg.Wait()
 	}
-	for _, i := range active {
-		w.activeSlot[i] = -1
+	if batched {
+		for _, i := range active {
+			w.activeSlot[i] = -1
+		}
+	}
+}
+
+// work is one worker's loop: it claims units off next until none is
+// left, computing a grid cell's residents when batched and one active
+// robot otherwise. The units are plain indices, so the sequential path
+// allocates nothing.
+func (w *World) work(active []int, batched bool, next *atomic.Int64, sc *cellBatch) {
+	units := len(active)
+	if batched {
+		units = w.viewIndex.CellCount()
+	}
+	for {
+		u := int(next.Add(1)) - 1
+		if u >= units {
+			return
+		}
+		if batched {
+			w.computeCell(u, sc)
+		} else {
+			w.dests[u], w.errs[u] = w.computeMove(active[u], sc)
+		}
 	}
 }
 
 // computeCell computes the moves of every active robot located in grid
-// cell c, sharing one candidate gather across them.
+// cell c, sharing one candidate gather across them: the window of the
+// cell under its residents' largest sensor radius, with the candidates'
+// positions, which each resident's view filters with the exact sensor
+// predicate (cellView). Every destination lands in its own active slot.
 func (w *World) computeCell(c int, sc *cellBatch) {
 	residents := sc.residents[:0]
 	rmax := 0.0
@@ -210,48 +190,17 @@ func (w *World) computeCell(c int, sc *cellBatch) {
 	sc.cand, sc.pos = cand, pos
 	for _, j := range residents {
 		k := w.activeSlot[j]
-		if w.visRadii[j] <= 0 {
-			// Unlimited-visibility robot in a compact world: dense view.
-			w.dests[k], w.errs[k] = w.safeComputeMove(int(j))
-			continue
-		}
-		w.dests[k], w.errs[k] = w.safeComputeMoveFrom(int(j), sc)
+		w.dests[k], w.errs[k] = w.computeMove(int(j), sc)
 	}
 }
 
-// ensureCellScratch sizes the per-worker cell buffers, keeping warmed
-// capacity when the worker count grows.
-func (w *World) ensureCellScratch(workers int) {
-	if len(w.cellScratch) < workers {
-		w.cellScratch = append(w.cellScratch, make([]cellBatch, workers-len(w.cellScratch))...)
-	}
-}
-
-// safeComputeMove converts a behavior panic into an error: inside a
-// worker goroutine an unrecovered panic would kill the process without
-// unwinding the caller, and the sequential path reports the identical
-// per-robot error so engine modes stay interchangeable.
-func (w *World) safeComputeMove(i int) (dest geom.Point, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: robot %d behavior panicked: %v", i, r)
-		}
-	}()
-	return w.computeMove(i)
-}
-
-// safeComputeMoveFrom is safeComputeMove for the batched path: the view
-// is filtered from the cell's gathered candidates. Each visible
+// cellView builds robot i's compact view from the candidates
+// computeCell gathered into sc for the robot's cell. Each visible
 // candidate becomes the key robot index<<32 | slot; an index occurs at
 // most once in a window, so sorting the keys orders the view by robot
 // index, as the per-robot construction does, and the slot finds the
 // gathered position.
-func (w *World) safeComputeMoveFrom(i int, sc *cellBatch) (dest geom.Point, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: robot %d behavior panicked: %v", i, r)
-		}
-	}()
+func (w *World) cellView(i int, sc *cellBatch) View {
 	self, s := w.snapshot[i], geom.NewBand(w.visRadii[i])
 	keys := sc.keys[:0]
 	for k, p := range sc.pos {
@@ -265,28 +214,32 @@ func (w *World) safeComputeMoveFrom(i int, sc *cellBatch) (dest geom.Point, err 
 	if o := w.obs; o != nil {
 		o.Sim.ViewIndexViews.Inc()
 	}
-	vs := &w.scratch[i]
 	b := w.frames[i].Basis()
-	idx, pts := vs.cidx[:0], vs.cpts[:0]
+	idx, pts := sc.cidx[:0], sc.cpts[:0]
 	for _, key := range keys {
 		idx = append(idx, int(key>>32))
 		pts = append(pts, b.ToLocal(sc.pos[uint32(key)]))
 	}
-	return w.finishMove(i, w.finishCompact(i, idx, pts))
+	return w.finishCompact(i, idx, pts, sc)
 }
 
 // computeMove runs robot i's observe–compute–clamp cycle against the
-// current snapshot. It touches only the snapshot (read-only during the
-// compute phase), the SoA mirrors (likewise read-only), robot i's
-// scratch slot, and robot i's private state.
-func (w *World) computeMove(i int) (geom.Point, error) {
-	return w.finishMove(i, w.localView(i, w.snapshot))
-}
-
-// finishMove is the shared tail of the observe–compute–clamp cycle:
+// current snapshot: its view, built in the worker's scratch sc, then
 // fault injection, the behavior step, and the finiteness and sigma
-// clamps, all against the SoA mirrors.
-func (w *World) finishMove(i int, view View) (geom.Point, error) {
+// clamps. It touches only the snapshot and the SoA mirrors (both
+// read-only during the compute phase), sc, and robot i's private state.
+//
+// It is the engine's one recover site: a panic becomes robot i's error.
+// Inside a worker goroutine an unrecovered panic would kill the process
+// without unwinding the caller, and the sequential path reports the
+// identical per-robot error, so engine modes stay interchangeable.
+func (w *World) computeMove(i int, sc *cellBatch) (dest geom.Point, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sim: robot %d behavior panicked: %v", i, r)
+		}
+	}()
+	view := w.localView(i, sc)
 	if w.inject != nil {
 		// Observation faults (noise, dropped sightings). The hook runs
 		// concurrently under the parallel engine; injectors are
@@ -413,23 +366,6 @@ func (w *World) syncSoA() {
 		}
 	}
 	w.anyLimited = limited
-}
-
-// scratchFor returns robot i's view scratch with the dense buffers sized
-// for n robots. Compact views bypass it and size only the compact
-// buffers.
-func (w *World) scratchFor(i int) *viewScratch {
-	sc := &w.scratch[i]
-	if len(sc.points) != len(w.pos) {
-		sc.points = make([]geom.Point, len(w.pos))
-	}
-	if w.ids != nil && len(sc.ids) != len(w.ids) {
-		sc.ids = make([]int, len(w.ids))
-	}
-	if w.visRadii[i] > 0 && len(sc.visible) != len(w.pos) {
-		sc.visible = make([]bool, len(w.pos))
-	}
-	return sc
 }
 
 func isFinite(p geom.Point) bool {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -181,7 +182,8 @@ func (duplicatingScheduler) Next(_, n int) []int { return []int{0, 1, 0} }
 
 // TestDuplicateActivationRejected: a scheduler activating the same
 // robot twice in one instant would race in the parallel engine (two
-// workers sharing one scratch slot), so both engines reject it.
+// workers stepping one robot's behavior at once), so both engines
+// reject it.
 func TestDuplicateActivationRejected(t *testing.T) {
 	w := engineWorld(t, 3, EngineSequential, 5)
 	if _, err := w.Step(duplicatingScheduler{}); err == nil || !strings.Contains(err.Error(), "twice") {
@@ -621,27 +623,21 @@ func TestStepAllocationFree(t *testing.T) {
 	}
 }
 
-// TestViewScratchReusedAcrossActivations documents the scratch-buffer
-// contract: the view slices a robot receives are stable between its own
-// activations and are rewritten at the next one.
-func TestViewScratchReusedAcrossActivations(t *testing.T) {
-	var first, second []geom.Point
-	calls := 0
+// TestViewBuffersPerWorker pins the view contract: a view is valid
+// only until Behavior.Step returns, so the sequential engine builds
+// every view in its one worker's buffers. Two robots of one instant see
+// the same backing array, and the next instant reuses it.
+func TestViewBuffersPerWorker(t *testing.T) {
+	var seen []*geom.Point
 	b := BehaviorFunc(func(v View) geom.Point {
-		calls++
-		switch calls {
-		case 1:
-			first = v.Points
-		case 2:
-			second = v.Points
-		}
+		seen = append(seen, &v.Points[0])
 		return v.Points[v.Self]
 	})
 	w, err := NewWorld(Config{
 		Positions: []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0)},
 		Robots: []*Robot{
 			{Frame: geom.WorldFrame(), Sigma: 1, Behavior: b},
-			{Frame: geom.WorldFrame(), Sigma: 1, Behavior: BehaviorFunc(func(v View) geom.Point { return v.Points[v.Self] })},
+			{Frame: geom.WorldFrame(), Sigma: 1, Behavior: b},
 		},
 		Engine: EngineSequential,
 	})
@@ -653,10 +649,50 @@ func TestViewScratchReusedAcrossActivations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if calls != 2 {
-		t.Fatalf("behavior called %d times", calls)
+	if len(seen) != 4 {
+		t.Fatalf("behaviors saw %d views, want 4", len(seen))
 	}
-	if &first[0] != &second[0] {
-		t.Error("view buffers were reallocated instead of reused")
+	if seen[1] != seen[0] {
+		t.Error("the two robots of one instant got views in different buffers")
+	}
+	if seen[2] != seen[0] || seen[3] != seen[0] {
+		t.Error("the second instant's views were built in new buffers")
+	}
+}
+
+// TestViewHeapPerWorker: a synchronous instant of a dense,
+// full-visibility world at n=1024 adds under 1 MiB of live heap on
+// both compute paths. The views live in one buffer set per worker;
+// one per robot would hold n points for each of the n robots, 16 MiB.
+func TestViewHeapPerWorker(t *testing.T) {
+	const n, limit = 1024, 1 << 20
+	for _, mode := range []EngineMode{EngineSequential, EngineParallel} {
+		positions := make([]geom.Point, n)
+		robots := make([]*Robot, n)
+		for i := range positions {
+			positions[i] = geom.Pt(float64(i%32)*10, float64(i/32)*10)
+			robots[i] = &Robot{Frame: geom.WorldFrame(), Sigma: 1, Behavior: BehaviorFunc(func(v View) geom.Point { return v.Points[v.Self] })}
+		}
+		w, err := NewWorld(Config{Positions: positions, Robots: robots, Engine: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		// One collection can leave set-up garbage counted in HeapAlloc.
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := w.Step(Synchronous{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(w)
+		grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		t.Logf("engine %v: one instant grew the live heap by %d B", mode, grew)
+		if grew >= limit {
+			t.Errorf("engine %v: one instant grew the live heap by %d B, want under %d", mode, grew, limit)
+		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 //     engine this hook is called concurrently from worker goroutines,
 //     so implementations must be deterministic pure functions of
 //     (t, observer) with no shared mutable state beyond per-observer
-//     scratch — see internal/fault for the hash-keyed construction.
+//     state — see internal/fault for the hash-keyed construction.
 //  4. PerturbMove — per activated robot, after the behavior's
 //     destination has been computed and sigma-clamped, before the moves
 //     are applied. Movement faults (truncation, overshoot) rewrite the
@@ -41,9 +41,10 @@ type Injector interface {
 	// the instant pass with no observations and no moves.
 	FilterActive(t int, active []int) []int
 	// PerturbView may rewrite the observer's view in place (the slices
-	// are the observer's private scratch) and must return the view to
-	// hand to the behavior. frame is the observer's current frame, for
-	// converting world-unit perturbations into local units.
+	// belong to the worker stepping the observer until the behavior's
+	// Step returns) and must return the view to hand to the behavior.
+	// frame is the observer's current frame, for converting world-unit
+	// perturbations into local units.
 	PerturbView(t, observer int, frame geom.Frame, view View) View
 	// PerturbMove returns the world-space destination actually applied
 	// for the robot, given the faithful one. Returning from means the

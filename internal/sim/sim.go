@@ -30,7 +30,9 @@ import (
 // since frames are egocentric) means "stay put".
 //
 // Behaviors may retain state across calls (the robots are
-// non-oblivious).
+// non-oblivious), but not the view: its slices are valid only until Step
+// returns, as in the SSM an activation observes, computes and moves
+// within one instant. A behavior copies what it keeps.
 type Behavior interface {
 	Step(view View) geom.Point
 }
@@ -54,6 +56,10 @@ var _ Behavior = BehaviorFunc(nil)
 // In a *compact* view (World.SetCompactViews), Points holds only the
 // robots inside the sensor disc and Indices maps slots back to robot
 // indices.
+//
+// A view is valid until Behavior.Step returns: the world builds it in
+// buffers owned by the worker that steps the robot, and that worker
+// reuses them for the next robot it steps.
 type View struct {
 	// Time is the index of the current instant.
 	Time int
@@ -124,13 +130,14 @@ type World struct {
 	engine EngineMode
 
 	// Reusable per-step buffers (see engine.go): the configuration
-	// snapshot shared by every view, one view scratch per robot, and the
-	// destination/error slot per active robot. They make the hot loop
-	// allocation-free after warm-up.
+	// snapshot shared by every view, the destination/error slot per
+	// active robot, and one scratch per compute worker, in which that
+	// worker builds every view it hands to a behavior. They make the hot
+	// loop allocation-free after warm-up.
 	snapshot []geom.Point
-	scratch  []viewScratch
 	dests    []geom.Point
 	errs     []error
+	workers  []cellBatch
 	seen     []bool // duplicate-activation detector
 
 	// Structure-of-arrays mirrors of the per-robot hot fields, refreshed
@@ -163,10 +170,9 @@ type World struct {
 
 	// compact enables compact views (SetCompactViews); activeSlot maps
 	// robot index to destination slot during batched view construction
-	// (-1 when inactive) and cellScratch holds per-worker batch buffers.
-	compact     bool
-	activeSlot  []int32
-	cellScratch []cellBatch
+	// (-1 when inactive).
+	compact    bool
+	activeSlot []int32
 
 	// touchedAt, when non-nil (EnableTouchTracking), records per robot
 	// the instant-plus-one of its last position write (0 = never moved
@@ -284,7 +290,6 @@ func NewWorld(cfg Config) (*World, error) {
 		robots:     make([]*Robot, n),
 		pos:        make([]geom.Point, n),
 		engine:     cfg.Engine,
-		scratch:    make([]viewScratch, n),
 		seen:       make([]bool, n),
 		sigmas:     make([]float64, n),
 		visRadii:   make([]float64, n),
@@ -622,18 +627,29 @@ func (w *World) Run(s Scheduler, maxSteps int, done func(w *World) bool) (int, b
 	return maxSteps, done != nil && done(w), nil
 }
 
-// localView builds robot i's view of the snapshot into the robot's own
-// reusable scratch buffers: the returned slices stay valid (and
-// unchanging) until robot i's next activation. Behaviors that need the
-// view beyond one Step call must copy what they keep.
-func (w *World) localView(i int, snapshot []geom.Point) View {
+// localView builds robot i's view of the snapshot in the worker's
+// scratch sc: the returned slices stay valid only until Behavior.Step
+// returns, when the worker reuses them for the next robot it steps.
+// Behaviors that need the view beyond one Step call must copy what they
+// keep.
+func (w *World) localView(i int, sc *cellBatch) View {
+	snapshot := w.snapshot
 	if w.compact && w.visRadii[i] > 0 {
-		return w.compactView(i, snapshot)
+		if w.viewIndexActive {
+			return w.cellView(i, sc)
+		}
+		return w.compactView(i, sc)
 	}
-	sc := w.scratchFor(i)
+	n := len(snapshot)
+	if len(sc.points) != n {
+		sc.points = make([]geom.Point, n)
+	}
 	pts := sc.points
 	var visible []bool
 	if r := w.visRadii[i]; r > 0 {
+		if len(sc.visible) != n {
+			sc.visible = make([]bool, n)
+		}
 		visible = sc.visible
 		for j := range visible {
 			visible[j] = false
@@ -668,12 +684,7 @@ func (w *World) localView(i int, snapshot []geom.Point) View {
 				pts[j] = b.ToLocal(snapshot[j])
 			}
 		})
-		var ids []int
-		if w.ids != nil {
-			ids = sc.ids
-			copy(ids, w.ids)
-		}
-		return View{Time: w.time, Self: i, Points: pts, IDs: ids, Visible: visible}
+		return View{Time: w.time, Self: i, Points: pts, IDs: w.viewIDs(sc), Visible: visible}
 	}
 	b := w.frames[i].Basis()
 	selfLocal := b.ToLocal(snapshot[i])
@@ -690,12 +701,20 @@ func (w *World) localView(i int, snapshot []geom.Point) View {
 		}
 		pts[j] = b.ToLocal(p)
 	}
-	var ids []int
-	if w.ids != nil {
-		ids = sc.ids
-		copy(ids, w.ids)
+	return View{Time: w.time, Self: i, Points: pts, IDs: w.viewIDs(sc), Visible: visible}
+}
+
+// viewIDs copies the robots' IDs into sc for a dense view, or returns
+// nil in an anonymous system.
+func (w *World) viewIDs(sc *cellBatch) []int {
+	if w.ids == nil {
+		return nil
 	}
-	return View{Time: w.time, Self: i, Points: pts, IDs: ids, Visible: visible}
+	if len(sc.ids) != len(w.ids) {
+		sc.ids = make([]int, len(w.ids))
+	}
+	copy(sc.ids, w.ids)
+	return sc.ids
 }
 
 // compactView builds robot i's compact view by the brute scan: the
@@ -703,10 +722,10 @@ func (w *World) localView(i int, snapshot []geom.Point) View {
 // mapping slots back to robot indices. The visible content is
 // bit-identical to the dense view's visible set — the sensor test
 // decides exactly Dist <= VisRadius, the frame transform is the same,
-// the order ascending. With the grid active, compact views go through
-// computeMovesBatched instead.
-func (w *World) compactView(i int, snapshot []geom.Point) View {
-	sc := &w.scratch[i]
+// the order ascending. With the grid active, compact views are filtered
+// from their cell's candidates instead (cellView).
+func (w *World) compactView(i int, sc *cellBatch) View {
+	snapshot := w.snapshot
 	self, s := snapshot[i], geom.NewBand(w.visRadii[i])
 	idx := sc.cidx[:0]
 	for j, p := range snapshot {
@@ -720,14 +739,13 @@ func (w *World) compactView(i int, snapshot []geom.Point) View {
 	for _, j := range idx {
 		pts = append(pts, b.ToLocal(snapshot[j]))
 	}
-	return w.finishCompact(i, idx, pts)
+	return w.finishCompact(i, idx, pts, sc)
 }
 
 // finishCompact completes robot i's compact view from its visible
-// indices and their local positions, both in robot i's scratch buffers:
+// indices and their local positions, both in the worker's scratch sc:
 // it adds the IDs and finds the observer's own slot.
-func (w *World) finishCompact(i int, idx []int, pts []geom.Point) View {
-	sc := &w.scratch[i]
+func (w *World) finishCompact(i int, idx []int, pts []geom.Point, sc *cellBatch) View {
 	var ids []int
 	if w.ids != nil {
 		ids = sc.cids[:0]

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,6 +18,17 @@ func stay() Behavior {
 // walker moves a fixed local displacement every activation.
 func walker(dx, dy float64) Behavior {
 	return BehaviorFunc(func(View) geom.Point { return geom.Pt(dx, dy) })
+}
+
+// cloneView copies a view's slices, as a behavior must to keep the view
+// past Step: the world reuses them for the next view it builds. Nil
+// slices stay nil.
+func cloneView(v View) View {
+	v.Points = slices.Clone(v.Points)
+	v.IDs = slices.Clone(v.IDs)
+	v.Visible = slices.Clone(v.Visible)
+	v.Indices = slices.Clone(v.Indices)
+	return v
 }
 
 func newTestWorld(t *testing.T, positions []geom.Point, behaviors []Behavior, opts ...func(*Config)) *World {
@@ -117,7 +129,7 @@ func TestEgocentricFrames(t *testing.T) {
 	// accordingly.
 	var sawView View
 	b := BehaviorFunc(func(v View) geom.Point {
-		sawView = v
+		sawView = cloneView(v)
 		return geom.Pt(1, 0)
 	})
 	robots := []*Robot{
@@ -153,7 +165,7 @@ func TestEgocentricFrames(t *testing.T) {
 
 func TestAnonymousViewsCarryNoIDs(t *testing.T) {
 	var saw View
-	b := BehaviorFunc(func(v View) geom.Point { saw = v; return geom.Pt(0, 0) })
+	b := BehaviorFunc(func(v View) geom.Point { saw = cloneView(v); return geom.Pt(0, 0) })
 	w := newTestWorld(t,
 		[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)},
 		[]Behavior{b, stay()},
@@ -168,7 +180,7 @@ func TestAnonymousViewsCarryNoIDs(t *testing.T) {
 
 func TestIdentifiedViewsCarryIDs(t *testing.T) {
 	var saw View
-	b := BehaviorFunc(func(v View) geom.Point { saw = v; return geom.Pt(0, 0) })
+	b := BehaviorFunc(func(v View) geom.Point { saw = cloneView(v); return geom.Pt(0, 0) })
 	w := newTestWorld(t,
 		[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)},
 		[]Behavior{b, stay()},
@@ -429,7 +441,7 @@ func TestSchedulerEdgeCases(t *testing.T) {
 
 func TestLimitedVisibilityViews(t *testing.T) {
 	var saw View
-	b := BehaviorFunc(func(v View) geom.Point { saw = v; return geom.Pt(0, 0) })
+	b := BehaviorFunc(func(v View) geom.Point { saw = cloneView(v); return geom.Pt(0, 0) })
 	robots := []*Robot{
 		{Frame: geom.WorldFrame(), Sigma: 1, VisRadius: 5, Behavior: b},
 		{Frame: geom.WorldFrame(), Sigma: 1, Behavior: stay()},
@@ -462,7 +474,7 @@ func TestLimitedVisibilityViews(t *testing.T) {
 	// Unlimited robots see no mask at all.
 	var sawFull View
 	robots2 := []*Robot{
-		{Frame: geom.WorldFrame(), Sigma: 1, Behavior: BehaviorFunc(func(v View) geom.Point { sawFull = v; return geom.Pt(0, 0) })},
+		{Frame: geom.WorldFrame(), Sigma: 1, Behavior: BehaviorFunc(func(v View) geom.Point { sawFull = cloneView(v); return geom.Pt(0, 0) })},
 		{Frame: geom.WorldFrame(), Sigma: 1, Behavior: stay()},
 	}
 	w2, err := NewWorld(Config{Positions: []geom.Point{geom.Pt(0, 0), geom.Pt(3, 0)}, Robots: robots2})
