@@ -51,7 +51,7 @@ race-repeat:
 	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestObserverEngineParity|TestStreamFaultEvents|TestGoldenEngineParity|TestGoldenReplayFrames|TestDecoderDigest)$$/^parallel$$' .
 	$(GO) test -race -count=10 -cpu 1,4 -run '^(TestEngineParity|TestStepAllocationFree|TestTeleport|TestTraceRecording|TestCompactViewParity|TestIncrementalGridParity|TestViewIndexParityParallelEngine|TestInjectorViewPerturbationReachesBehavior|TestViewHeapPerWorker)$$' ./internal/sim
 
-# Fuzz smoke: each of the nine fuzz targets runs 5 s of generated
+# Fuzz smoke: each of the ten fuzz targets runs 5 s of generated
 # inputs beyond its seed corpus, which `make race` only replays as plain
 # tests. go test fuzzes one target of one package per run. A failing
 # input is written under the package's testdata/fuzz/; it becomes a seed
@@ -66,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTailStream$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzCreate$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSpectate$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzGridQueries$$' -fuzztime 5s ./internal/spatial
 
 # The speedup benchmarks for the parallel engine and sweep harness.
 bench:

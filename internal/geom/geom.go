@@ -46,12 +46,6 @@ func (p Point) Sub(q Point) Vec { return Vec{X: p.X - q.X, Y: p.Y - q.Y} }
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
-// Dist2 returns the squared Euclidean distance between p and q.
-func (p Point) Dist2(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // Eq reports whether p and q coincide within Eps.
 func (p Point) Eq(q Point) bool { return p.Dist(q) <= Eps }
 

@@ -43,9 +43,6 @@ func TestDist(t *testing.T) {
 			if got := tt.a.Dist(tt.b); !ApproxEq(got, tt.want) {
 				t.Errorf("Dist = %v, want %v", got, tt.want)
 			}
-			if got := tt.a.Dist2(tt.b); !ApproxEq(got, tt.want*tt.want) {
-				t.Errorf("Dist2 = %v, want %v", got, tt.want*tt.want)
-			}
 		})
 	}
 }

@@ -102,20 +102,6 @@ func (pg Polygon) Clip(h HalfPlane) Polygon {
 	return Polygon{vertices: out}
 }
 
-// FarthestVertexDist returns the maximum distance from p to a vertex of
-// the polygon — for a convex polygon containing p, the radius of the
-// smallest disc centred at p that covers the polygon. Returns 0 for an
-// empty polygon.
-func (pg Polygon) FarthestVertexDist(p Point) float64 {
-	var max float64
-	for _, v := range pg.vertices {
-		if d := p.Dist(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // DistToBoundary returns the minimum distance from p to the polygon's
 // boundary. For p inside a convex polygon this is the radius of the
 // largest disc centred at p that fits inside the polygon.

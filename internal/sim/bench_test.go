@@ -96,8 +96,8 @@ func scaleWorld(b *testing.B, n int, compact bool) *World {
 }
 
 // BenchmarkStepScale times one instant of the scale swarm after a
-// warm-up: sync activates every robot (a full grid rebuild per instant),
-// sparse a rotating 5% block (the incremental grid splice). Compact
+// warm-up: sync activates every robot, sparse a rotating 5% block; the
+// grid is rebuilt before every instant of either. Compact
 // views run at every size; dense views only at n=10000, for time: their
 // buffers are per worker, but each dense view still costs O(n) to build,
 // so a synchronous dense instant is O(n²), about 100 times the n=10000

@@ -82,13 +82,11 @@ func positionDigest(w *World) string {
 // pass them; this constant does not move.
 const compactDigest = "f8f2bfbf2d15624d2c7f535d86ce1a3f0f8ebb838ccd15065a1f401e4ddae06b"
 
-// TestCompactDigest pins the batched compact path's output bits. The
-// Synchronous instants move every robot, so the grid is rebuilt before
-// each; the sparse RandomFair instants move a few percent, so the moves
-// are spliced into the grid's overlay and the window gathers see moved-
-// out items and spill lists. Before each sparse instant one robot is
-// teleported far from its bucket, where only its new cell's spill list
-// puts it in its neighbours' windows.
+// TestCompactDigest pins the batched compact path's output bits over
+// Synchronous instants, which move every robot, and sparse RandomFair
+// instants, which move a few percent; the grid is rebuilt before each.
+// Before each sparse instant one robot is teleported far from where it
+// stood.
 func TestCompactDigest(t *testing.T) {
 	const k = 6
 	for _, mode := range []EngineMode{EngineSequential, EngineParallel} {
@@ -108,8 +106,8 @@ func TestCompactDigest(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !w.viewIndexActive || w.viewIndex.MovedFraction() == 0 {
-			t.Fatalf("%v: the sparse instants did not splice moves into the grid", mode)
+		if !w.viewIndexActive {
+			t.Fatalf("%v: the sparse instants did not run over the grid", mode)
 		}
 		if got := positionDigest(w); got != compactDigest {
 			t.Errorf("%v: position digest %s, want %s", mode, got, compactDigest)

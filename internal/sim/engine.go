@@ -269,84 +269,34 @@ func (w *World) computeMove(i int, sc *cellBatch) (dest geom.Point, err error) {
 // than the distance checks it culls.
 const viewIndexMinN = 48
 
-// gridRebuildFraction is the moved fraction — of this instant's diff, or
-// of the grid's cumulative bucket drift — above which prepareStep
-// abandons incremental splicing for a full Rebuild: past it the splice
-// work approaches the rebuild cost and clamped-in movers start skewing
-// bucket balance.
-const gridRebuildFraction = 0.25
-
 // prepareStep refreshes the SoA mirrors, sizes the reusable
 // snapshot/destination/error buffers for an instant with the given
-// activation-set size, and brings the visibility grid in sync when
-// limited-visibility culling applies — incrementally when it can, by a
-// full rebuild when it must. The grid object is never discarded: when
-// indexing does not apply this instant it merely goes out of sync, so
-// toggling visibility or viewIndexOff re-allocates nothing.
+// activation-set size, copies the configuration into the snapshot and,
+// when limited-visibility culling applies, rebuilds the visibility grid
+// over it. The grid object is never discarded: when indexing does not
+// apply this instant it is merely left stale, so toggling visibility or
+// viewIndexOff re-allocates nothing.
 func (w *World) prepareStep(activeLen int) {
 	n := len(w.pos)
 	w.syncSoA()
-	needIndex := !w.viewIndexOff && n >= viewIndexMinN && w.anyLimited
-	switch {
-	case w.snapshot == nil:
+	if w.snapshot == nil {
 		w.snapshot = make([]geom.Point, n)
-		copy(w.snapshot, w.pos)
-		if needIndex {
-			w.rebuildGrid()
-		}
-	case needIndex && w.viewIndex != nil && w.gridSynced:
-		w.updateGridIncremental(n)
-	default:
-		copy(w.snapshot, w.pos)
-		if needIndex {
-			w.rebuildGrid()
+	}
+	copy(w.snapshot, w.pos)
+	w.viewIndexActive = !w.viewIndexOff && n >= viewIndexMinN && w.anyLimited
+	if w.viewIndexActive {
+		if w.viewIndex == nil {
+			w.viewIndex = spatial.NewGrid(w.snapshot)
 		} else {
-			w.gridSynced = false
+			w.viewIndex.Rebuild(w.snapshot)
 		}
 	}
-	w.viewIndexActive = needIndex
 	if cap(w.dests) < activeLen {
 		w.dests = make([]geom.Point, activeLen)
 		w.errs = make([]error, activeLen)
 	}
 	w.dests = w.dests[:activeLen]
 	w.errs = w.errs[:activeLen]
-}
-
-// rebuildGrid (re)indexes the visibility grid over the snapshot from
-// scratch, reusing buffers after warm-up.
-func (w *World) rebuildGrid() {
-	if w.viewIndex == nil {
-		w.viewIndex = spatial.NewGrid(w.snapshot)
-	} else {
-		w.viewIndex.Rebuild(w.snapshot)
-	}
-	w.gridSynced = true
-}
-
-// updateGridIncremental diffs the configuration against the snapshot the
-// grid indexes and splices only the moved robots (Grid.Move updates the
-// snapshot entries in place — the grid references the snapshot slice),
-// falling back to a full Rebuild past gridRebuildFraction. Queries on
-// the spliced grid are exact (the grid only narrows candidates), so the
-// computed views are bit-identical either way.
-func (w *World) updateGridIncremental(n int) {
-	moved := w.movedScratch[:0]
-	for i := range w.pos {
-		if w.pos[i] != w.snapshot[i] {
-			moved = append(moved, int32(i))
-		}
-	}
-	w.movedScratch = moved
-	if float64(len(moved)) > gridRebuildFraction*float64(n) ||
-		w.viewIndex.MovedFraction() > gridRebuildFraction {
-		copy(w.snapshot, w.pos)
-		w.viewIndex.Rebuild(w.snapshot)
-		return
-	}
-	for _, i := range moved {
-		w.viewIndex.Move(int(i), w.pos[i])
-	}
 }
 
 // syncSoA refreshes the structure-of-arrays mirrors of the per-robot hot

@@ -363,11 +363,11 @@ func TestCompactViewParity(t *testing.T) {
 	}
 }
 
-// TestIncrementalGridParity drives the incremental grid maintenance
-// end-to-end: partial activations (few robots move per instant, so
-// prepareStep splices instead of rebuilding), a mid-run teleport, and a
-// mid-run engine switch must all leave the trajectory bit-identical to
-// a world with the index disabled entirely.
+// TestIncrementalGridParity drives the per-step grid end-to-end:
+// partial activations (few robots move per instant, and prepareStep
+// rebuilds the grid for each), a mid-run teleport, and a mid-run engine
+// switch must all leave the trajectory bit-identical to a world with
+// the index disabled entirely.
 func TestIncrementalGridParity(t *testing.T) {
 	const n, steps = 200, 250
 	indexed := limitedWorld(t, n, EngineSequential, 24, false, 7)
@@ -376,8 +376,8 @@ func TestIncrementalGridParity(t *testing.T) {
 	si, sb := NewRandomFair(13), NewRandomFair(13)
 	for s := 0; s < steps; s++ {
 		if s == 100 {
-			// A teleport breaks the moved-robots diff's "only active
-			// robots moved" shortcut; the diff must catch it.
+			// A teleport moves a robot that no scheduler activated;
+			// the next snapshot must carry it.
 			if err := indexed.Teleport(3, geom.Pt(-50, -50)); err != nil {
 				t.Fatal(err)
 			}

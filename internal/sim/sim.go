@@ -150,23 +150,19 @@ type World struct {
 	behaviors  []Behavior
 	anyLimited bool
 
-	// viewIndex is a spatial grid over the snapshot, kept in sync by
-	// prepareStep when any robot has limited visibility and the swarm is
-	// large enough to amortise indexing: incrementally spliced when few
-	// robots moved since the previous instant, rebuilt otherwise. It is
-	// read-only during the compute phase, so parallel workers share it
-	// safely. viewIndexActive marks it in use this instant; gridSynced
-	// marks its contents current (the object is retained, warm, across
-	// instants that do not index). viewIndexOff forces the brute sensor
-	// scan, for the in-package parity tests and benchmarks: indexing
-	// never changes a computed view, since the grid only culls
-	// candidates ahead of the exact sensor predicate. movedScratch is
-	// the diff buffer.
+	// viewIndex is a spatial grid over the snapshot, rebuilt by
+	// prepareStep at every instant at which any robot has limited
+	// visibility and the swarm is large enough to amortise indexing. It
+	// is read-only during the compute phase, so parallel workers share
+	// it safely. viewIndexActive marks it current and in use this
+	// instant; the object is retained, warm, across instants that do not
+	// index. viewIndexOff forces the brute sensor scan, for the
+	// in-package parity tests and benchmarks: indexing never changes a
+	// computed view, since the grid only culls candidates ahead of the
+	// exact sensor predicate.
 	viewIndex       *spatial.Grid
 	viewIndexOff    bool
 	viewIndexActive bool
-	gridSynced      bool
-	movedScratch    []int32
 
 	// compact enables compact views (SetCompactViews); activeSlot maps
 	// robot index to destination slot during batched view construction
@@ -230,7 +226,7 @@ type StreamSink interface {
 // Config configures a World.
 type Config struct {
 	// Positions are the initial robot positions (world coordinates). At
-	// least one robot; positions must be pairwise distinct.
+	// least one robot; positions must be finite and pairwise distinct.
 	Positions []geom.Point
 	// Robots supplies frame, sigma and behavior per robot, index-aligned
 	// with Positions. Frames' origins are overwritten with the positions.
@@ -260,6 +256,10 @@ var (
 	// ErrBadSigma is returned when a robot's sigma is not positive
 	// (NaN included).
 	ErrBadSigma = errors.New("sim: sigma must be positive")
+	// ErrNonFinitePosition is returned when an initial position has a
+	// NaN or infinite coordinate: NaN equals no point, so the
+	// distinctness check alone would let it through.
+	ErrNonFinitePosition = errors.New("sim: initial position must be finite")
 	// ErrEmptyActivation is returned when a scheduler activates nobody,
 	// violating the model ("at least one robot is active at each
 	// instant").
@@ -281,6 +281,9 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 		if !(cfg.Robots[i].Sigma > 0) { // NaN fails every comparison
 			return nil, fmt.Errorf("robot %d: %w", i, ErrBadSigma)
+		}
+		if !isFinite(cfg.Positions[i]) {
+			return nil, fmt.Errorf("robot %d: %w", i, ErrNonFinitePosition)
 		}
 	}
 	if err := checkDistinctPositions(cfg.Positions); err != nil {

@@ -84,6 +84,15 @@ func TestNewWorldErrors(t *testing.T) {
 	}); err == nil {
 		t.Error("nil behavior should be rejected")
 	}
+	for _, p := range []geom.Point{geom.Pt(math.NaN(), 0), geom.Pt(0, math.Inf(1))} {
+		_, err := NewWorld(Config{
+			Positions: []geom.Point{geom.Pt(0, 0), p},
+			Robots:    []*Robot{r, r},
+		})
+		if !errors.Is(err, ErrNonFinitePosition) || !strings.Contains(err.Error(), "robot 1") {
+			t.Errorf("position %v: err = %v, want robot 1: ErrNonFinitePosition", p, err)
+		}
+	}
 }
 
 func TestSynchronousStepMovesEveryone(t *testing.T) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -39,29 +40,33 @@ func limitedVisWorld(t *testing.T, n int, visRadius float64) *World {
 // one with the per-step visibility grid, one forced onto the brute
 // distance scan — and requires bit-identical configurations at every
 // instant. The grid only culls candidates ahead of the exact
-// Dist <= VisRadius predicate, so any divergence is a bug.
+// Dist <= VisRadius predicate, so any divergence is a bug. An infinite
+// sensor radius sees every robot, so its grid query must cover the
+// whole grid.
 func TestViewIndexParity(t *testing.T) {
 	n := viewIndexMinN + 16
-	indexed := limitedVisWorld(t, n, 25)
-	brute := limitedVisWorld(t, n, 25)
-	brute.viewIndexOff = true
-	for step := 0; step < 25; step++ {
-		if _, err := indexed.Step(Synchronous{}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := brute.Step(Synchronous{}); err != nil {
-			t.Fatal(err)
-		}
-		if step == 0 && indexed.viewIndex == nil {
-			t.Fatal("indexed world did not build the visibility grid")
-		}
-		if brute.viewIndex != nil {
-			t.Fatal("viewIndexOff left the grid active")
-		}
-		for i := 0; i < n; i++ {
-			if indexed.Position(i) != brute.Position(i) {
-				t.Fatalf("step %d robot %d: indexed %v != brute %v",
-					step, i, indexed.Position(i), brute.Position(i))
+	for _, vis := range []float64{25, math.Inf(1)} {
+		indexed := limitedVisWorld(t, n, vis)
+		brute := limitedVisWorld(t, n, vis)
+		brute.viewIndexOff = true
+		for step := 0; step < 25; step++ {
+			if _, err := indexed.Step(Synchronous{}); err != nil {
+				t.Fatalf("vis %v: %v", vis, err)
+			}
+			if _, err := brute.Step(Synchronous{}); err != nil {
+				t.Fatalf("vis %v: %v", vis, err)
+			}
+			if step == 0 && indexed.viewIndex == nil {
+				t.Fatal("indexed world did not build the visibility grid")
+			}
+			if brute.viewIndex != nil {
+				t.Fatal("viewIndexOff left the grid active")
+			}
+			for i := 0; i < n; i++ {
+				if indexed.Position(i) != brute.Position(i) {
+					t.Fatalf("vis %v step %d robot %d: indexed %v != brute %v",
+						vis, step, i, indexed.Position(i), brute.Position(i))
+				}
 			}
 		}
 	}

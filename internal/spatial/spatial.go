@@ -24,15 +24,8 @@
 // collinear inputs degrade gracefully: queries fall back to scanning
 // more rings and remain correct (worst case O(n), the brute-force cost).
 //
-// Between rebuilds the grid supports incremental updates: Move splices a
-// single point between buckets in O(1), so per-step simulator snapshots
-// where few robots moved skip the O(n) Rebuild entirely. Moved points may
-// drift outside the bounding box the cell geometry was computed from;
-// cellCoords clamps them into edge cells, which keeps every query exact
-// (the grid only ever narrows candidates — final predicates are
-// evaluated by the caller) and only degrades bucket balance. Callers bound that degradation by falling
-// back to Rebuild once MovedFraction passes a threshold (the simulator
-// uses ~25%).
+// A grid changes only by Rebuild: the simulator rebuilds its per-step
+// grid at every instant that indexes.
 package spatial
 
 import (
@@ -62,26 +55,10 @@ type Grid struct {
 	cols, rows   int
 
 	// CSR bucket layout: bucket c holds items[start[c]:start[c+1]],
-	// in ascending point-index order. After a Move, items that left
-	// their CSR bucket are masked out of it (cellOf no longer matches)
-	// and live in their current cell's extra list instead; visit order
-	// within a cell is then base items first, movers after.
+	// in ascending point-index order.
 	start  []int32
 	items  []int32
 	counts []int32 // rebuild scratch
-
-	// Incremental overlay (Move), built lazily on the first Move after
-	// a Rebuild. Invariants: cellOf[i] is the cell of pts[i] under the
-	// current (clamped) geometry; i is in exactly one extra list —
-	// extra[cellOf[i]] at position extraSlot[i] — iff cellOf[i] !=
-	// base[i]; movedN counts such items.
-	overlayReady bool
-	base         []int32
-	cellOf       []int32
-	extra        [][]int32
-	extraSlot    []int32
-	extraUsed    []int32 // cells whose extra list has been appended to
-	movedN       int
 }
 
 // NewGrid indexes pts. The slice is referenced, not copied.
@@ -99,7 +76,6 @@ func (g *Grid) Len() int { return len(g.pts) }
 // instant and allocates nothing after warm-up.
 func (g *Grid) Rebuild(pts []geom.Point) {
 	g.pts = pts
-	g.resetOverlay()
 	n := len(pts)
 	if n == 0 {
 		// Reset the full geometry, not just the cell counts: stale
@@ -118,10 +94,12 @@ func (g *Grid) Rebuild(pts []geom.Point) {
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for _, p := range pts {
-		minX = math.Min(minX, p.X)
-		minY = math.Min(minY, p.Y)
-		maxX = math.Max(maxX, p.X)
-		maxY = math.Max(maxY, p.Y)
+		// The builtins keep math.Min's and math.Max's NaN and
+		// signed-zero rules and, unlike them, compile inline.
+		minX = min(minX, p.X)
+		minY = min(minY, p.Y)
+		maxX = max(maxX, p.X)
+		maxY = max(maxY, p.Y)
 	}
 	dim := int(math.Sqrt(float64(n) / 2))
 	if dim < 1 {
@@ -168,103 +146,22 @@ func (g *Grid) Rebuild(pts []geom.Point) {
 	}
 }
 
-// resetOverlay discards the incremental state: extra lists are
-// truncated (capacity kept) and the overlay is rebuilt lazily on the
-// next Move.
-func (g *Grid) resetOverlay() {
-	for _, c := range g.extraUsed {
-		if int(c) < len(g.extra) {
-			g.extra[c] = g.extra[c][:0]
-		}
-	}
-	g.extraUsed = g.extraUsed[:0]
-	g.movedN = 0
-	g.overlayReady = false
-}
-
-// buildOverlay initialises base/cellOf from the CSR layout.
-func (g *Grid) buildOverlay() {
-	n := len(g.pts)
-	cells := g.cols * g.rows
-	if cap(g.base) < n {
-		g.base = make([]int32, n)
-		g.cellOf = make([]int32, n)
-		g.extraSlot = make([]int32, n)
-	}
-	g.base = g.base[:n]
-	g.cellOf = g.cellOf[:n]
-	g.extraSlot = g.extraSlot[:n]
-	if cap(g.extra) < cells {
-		g.extra = append(g.extra[:cap(g.extra)], make([][]int32, cells-cap(g.extra))...)
-	}
-	g.extra = g.extra[:cells]
-	for c := 0; c < cells; c++ {
-		for k := g.start[c]; k < g.start[c+1]; k++ {
-			g.base[g.items[k]] = int32(c)
-			g.cellOf[g.items[k]] = int32(c)
-		}
-	}
-	g.overlayReady = true
-}
-
-// Move re-indexes point i after it moved to `to`, splicing it between
-// buckets in O(1) and updating g.pts[i] in place. Every position change
-// between Rebuilds must go through Move (or trigger a Rebuild): the
-// overlay tracks cells by what it was told, not by re-scanning.
-//
-// Moved points may lie outside the bounding box of the last Rebuild;
-// they are clamped into edge cells, which keeps queries exact but skews
-// bucket balance — watch MovedFraction and Rebuild past ~25%.
-func (g *Grid) Move(i int, to geom.Point) {
-	if !g.overlayReady {
-		g.buildOverlay()
-	}
-	g.pts[i] = to
-	cf := g.cellOf[i]
-	ct := int32(g.cellIndex(to))
-	if ct == cf {
-		return
-	}
-	if cf != g.base[i] {
-		g.extraRemove(int32(i), cf)
-	}
-	if ct != g.base[i] {
-		g.extraAdd(int32(i), ct)
-	}
-	if cf == g.base[i] {
-		g.movedN++
-	} else if ct == g.base[i] {
-		g.movedN--
-	}
-	g.cellOf[i] = ct
-}
-
-func (g *Grid) extraAdd(i, c int32) {
-	if len(g.extra[c]) == 0 {
-		g.extraUsed = append(g.extraUsed, c)
-	}
-	g.extraSlot[i] = int32(len(g.extra[c]))
-	g.extra[c] = append(g.extra[c], i)
-}
-
-func (g *Grid) extraRemove(i, c int32) {
-	lst := g.extra[c]
-	s := g.extraSlot[i]
-	last := int32(len(lst)) - 1
-	movedItem := lst[last]
-	lst[s] = movedItem
-	g.extraSlot[movedItem] = s
-	g.extra[c] = lst[:last]
-}
-
-// MovedFraction returns the fraction of points currently outside their
-// Rebuild-time bucket — the signal callers use to decide when the
-// incremental overlay has degraded enough to warrant a full Rebuild.
-func (g *Grid) MovedFraction() float64 {
-	if len(g.pts) == 0 {
+// axisCell returns floor(v)+shift clamped into [0, cells-1]: the cell,
+// along one axis of cells cells, of offset v (in cell widths from the
+// grid's low edge), widened by shift, which is -1, 0 or +1. It decides
+// the edges in float space before converting, since Go leaves the
+// conversion of a float outside int's range implementation-defined
+// (amd64 yields the minimum int, the low edge even for +Inf). A negative
+// offset, and NaN, takes the low edge; below the high edge, floor(v) is
+// the truncation int(v).
+func axisCell(v float64, shift, cells int) int {
+	if !(v >= 0) {
 		return 0
 	}
-	return float64(g.movedN) / float64(len(g.pts))
+	if v >= float64(cells) {
+		return cells - 1
+	}
+	return min(max(int(v)+shift, 0), cells-1)
 }
 
 // cellCoords returns the (column, row) of the cell containing p, clamped
@@ -275,19 +172,7 @@ func (g *Grid) cellCoords(p geom.Point) (int, int) {
 	if g.cols <= 0 || g.rows <= 0 {
 		return 0, 0
 	}
-	ix := int((p.X - g.minX) / g.cellW)
-	if ix < 0 {
-		ix = 0
-	} else if ix >= g.cols {
-		ix = g.cols - 1
-	}
-	iy := int((p.Y - g.minY) / g.cellH)
-	if iy < 0 {
-		iy = 0
-	} else if iy >= g.rows {
-		iy = g.rows - 1
-	}
-	return ix, iy
+	return axisCell((p.X-g.minX)/g.cellW, 0, g.cols), axisCell((p.Y-g.minY)/g.cellH, 0, g.rows)
 }
 
 func (g *Grid) cellIndex(p geom.Point) int {
@@ -295,27 +180,11 @@ func (g *Grid) cellIndex(p geom.Point) int {
 	return iy*g.cols + ix
 }
 
-// visitCell calls fn for every point currently in cell (ix, iy): the
-// CSR bucket in ascending point-index order, then — when Moves are
-// outstanding — the cell's extra list of moved-in points (arbitrary
-// order). Items that moved out of their CSR bucket are masked by the
-// cellOf check. Result sets and explicit lowest-index tie rules are
-// unaffected by the weaker order; only the "ascending" visit guarantee
-// is limited to move-free grids.
+// visitCell calls fn for every point in cell (ix, iy), in ascending
+// point-index order.
 func (g *Grid) visitCell(ix, iy int, fn func(j int32)) {
-	c := int32(iy*g.cols + ix)
-	if g.movedN == 0 {
-		for k := g.start[c]; k < g.start[c+1]; k++ {
-			fn(g.items[k])
-		}
-		return
-	}
-	for k := g.start[c]; k < g.start[c+1]; k++ {
-		if j := g.items[k]; g.cellOf[j] == c {
-			fn(j)
-		}
-	}
-	for _, j := range g.extra[c] {
+	c := iy*g.cols + ix
+	for _, j := range g.items[g.start[c]:g.start[c+1]] {
 		fn(j)
 	}
 }
@@ -447,10 +316,10 @@ func (g *Grid) VisitNeighborhood(p geom.Point, radius float64, fn func(j int, d 
 	if len(g.pts) == 0 || radius < 0 {
 		return
 	}
-	x0 := g.clampCol(int(math.Floor((p.X-radius-g.minX)/g.cellW)) - 1)
-	x1 := g.clampCol(int(math.Floor((p.X+radius-g.minX)/g.cellW)) + 1)
-	y0 := g.clampRow(int(math.Floor((p.Y-radius-g.minY)/g.cellH)) - 1)
-	y1 := g.clampRow(int(math.Floor((p.Y+radius-g.minY)/g.cellH)) + 1)
+	x0 := axisCell((p.X-radius-g.minX)/g.cellW, -1, g.cols)
+	x1 := axisCell((p.X+radius-g.minX)/g.cellW, 1, g.cols)
+	y0 := axisCell((p.Y-radius-g.minY)/g.cellH, -1, g.rows)
+	y1 := axisCell((p.Y+radius-g.minY)/g.cellH, 1, g.rows)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
 			g.visitCell(x, y, func(j int32) {
@@ -504,9 +373,8 @@ func (g *Grid) FirstCoincident() (i, j int, ok bool) {
 // issuing queries.
 func (g *Grid) CellCount() int { return g.cols * g.rows }
 
-// VisitCellMembers calls fn for every point currently located in cell c:
-// the CSR bucket in ascending point-index order, then any moved-in
-// points (see visitCell).
+// VisitCellMembers calls fn for every point located in cell c, in
+// ascending point-index order.
 func (g *Grid) VisitCellMembers(c int, fn func(j int32)) {
 	if g.cols <= 0 {
 		return
@@ -514,15 +382,14 @@ func (g *Grid) VisitCellMembers(c int, fn func(j int32)) {
 	g.visitCell(c%g.cols, c/g.cols, fn)
 }
 
-// AppendCellWindow appends to buf the index of every point whose current
-// cell lies within ceil(r/cellSide)+1 cells of cell c in each axis — a
+// AppendCellWindow appends to buf the index of every point whose cell
+// lies within ceil(r/cellSide)+1 cells of cell c in each axis — a
 // guaranteed candidate superset of the points within distance r of ANY
-// point located in cell c. The guarantee covers moved points clamped
-// into c from outside the indexed box: clamping columns is monotone and
-// non-expansive, so two points within distance r land at most
-// ceil(r/cellW)+1 clamped columns apart (likewise rows). Each point is
-// appended at most once, in no particular order; callers apply the
-// exact distance predicate.
+// point located in cell c: a coordinate's column is monotone in it, so
+// two points within distance r lie at most ceil(r/cellW)+1 columns
+// apart, the extra column covering rounding at cell edges (likewise
+// rows). Each point is appended once; callers apply the exact distance
+// predicate.
 func (g *Grid) AppendCellWindow(buf []int32, c int, r float64) []int32 {
 	if g.cols <= 0 || r < 0 {
 		return buf
@@ -530,25 +397,13 @@ func (g *Grid) AppendCellWindow(buf []int32, c int, r float64) []int32 {
 	cx, cy := c%g.cols, c/g.cols
 	sx := spanCells(r, g.cellW, g.cols)
 	sy := spanCells(r, g.cellH, g.rows)
-	x0, x1 := g.clampCol(cx-sx), g.clampCol(cx+sx)
-	y0, y1 := g.clampRow(cy-sy), g.clampRow(cy+sy)
+	x0, x1 := max(cx-sx, 0), min(cx+sx, g.cols-1)
+	y0, y1 := max(cy-sy, 0), min(cy+sy, g.rows-1)
 	for y := y0; y <= y1; y++ {
 		// The CSR buckets of cells x0..x1 of one row are one run of
-		// items. While Moves are outstanding, items that left their
-		// bucket are masked out and the cells' spill lists appended.
-		lo, hi := int32(y*g.cols+x0), int32(y*g.cols+x1)
-		if g.movedN == 0 {
-			buf = append(buf, g.items[g.start[lo]:g.start[hi+1]]...)
-			continue
-		}
-		for cell := lo; cell <= hi; cell++ {
-			for _, j := range g.items[g.start[cell]:g.start[cell+1]] {
-				if g.cellOf[j] == cell {
-					buf = append(buf, j)
-				}
-			}
-			buf = append(buf, g.extra[cell]...)
-		}
+		// items.
+		lo, hi := y*g.cols+x0, y*g.cols+x1
+		buf = append(buf, g.items[g.start[lo]:g.start[hi+1]]...)
 	}
 	return buf
 }
@@ -561,50 +416,6 @@ func spanCells(r, side float64, cells int) int {
 		return cells
 	}
 	return int(s) + 1
-}
-
-func (g *Grid) clampCol(x int) int {
-	if x < 0 {
-		return 0
-	}
-	if x >= g.cols {
-		return g.cols - 1
-	}
-	return x
-}
-
-func (g *Grid) clampRow(y int) int {
-	if y < 0 {
-		return 0
-	}
-	if y >= g.rows {
-		return g.rows - 1
-	}
-	return y
-}
-
-// VisitRings enumerates every indexed point, grouped into Chebyshev
-// rings of nondecreasing distance lower bound around p. Before each
-// ring, ringFn receives a lower bound on the distance from p to every
-// point not yet enumerated (this ring and beyond); returning false stops
-// the enumeration. After the last ring, ringFn is called once more with
-// +Inf so callers can flush per-ring accumulation. fn sees each point
-// exactly once. Within a ring the visit order is cell order, not
-// distance order — the bound applies to the whole remainder.
-func (g *Grid) VisitRings(p geom.Point, ringFn func(lowerBound float64) bool, fn func(j int)) {
-	if len(g.pts) == 0 {
-		ringFn(math.Inf(1))
-		return
-	}
-	ix, iy := g.cellCoords(p)
-	maxR := g.maxRing(ix, iy)
-	for r := 0; r <= maxR; r++ {
-		if !ringFn(g.ringLowerBound(p, ix, iy, r)) {
-			return
-		}
-		g.visitRing(ix, iy, r, func(j int32) { fn(int(j)) })
-	}
-	ringFn(math.Inf(1))
 }
 
 // NearestRadii returns, per point, half the distance to its nearest

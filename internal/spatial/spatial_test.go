@@ -105,19 +105,22 @@ func TestVisitNeighborhoodCoversRadius(t *testing.T) {
 				g := NewGrid(pts)
 				for s := 0; s < 25; s++ {
 					p := geom.Pt(rng.Float64()*1200-100, rng.Float64()*1200-100)
-					r := rng.Float64() * 500
-					got := map[int]bool{}
-					g.VisitNeighborhood(p, r, func(j int, d float64) {
-						if d != p.Dist(pts[j]) {
-							t.Fatalf("reported distance %v != exact %v", d, p.Dist(pts[j]))
-						}
-						if d <= r {
-							got[j] = true
-						}
-					})
-					for j, q := range pts {
-						if (p.Dist(q) <= r) != got[j] {
-							t.Fatalf("point %d (dist %v, radius %v): in-set mismatch", j, p.Dist(q), r)
+					// An infinite or maximal radius covers every point: its
+					// cell window must saturate at the grid's edges.
+					for _, r := range []float64{rng.Float64() * 500, math.Inf(1), math.MaxFloat64} {
+						got := map[int]bool{}
+						g.VisitNeighborhood(p, r, func(j int, d float64) {
+							if d != p.Dist(pts[j]) {
+								t.Fatalf("reported distance %v != exact %v", d, p.Dist(pts[j]))
+							}
+							if d <= r {
+								got[j] = true
+							}
+						})
+						for j, q := range pts {
+							if (p.Dist(q) <= r) != got[j] {
+								t.Fatalf("point %d (dist %v, radius %v): in-set mismatch", j, p.Dist(q), r)
+							}
 						}
 					}
 				}
@@ -126,29 +129,27 @@ func TestVisitNeighborhoodCoversRadius(t *testing.T) {
 	}
 }
 
+// TestVisitRingsEnumeratesAllWithValidBounds pins the ring walk behind
+// NearestTo: rings 0..maxRing around a point's cell visit every indexed
+// point exactly once, and no point of ring r lies closer than the
+// ringLowerBound the search prunes ring r by.
 func TestVisitRingsEnumeratesAllWithValidBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for name, pts := range testConfigurations(rng, 120) {
 		t.Run(name, func(t *testing.T) {
 			g := NewGrid(pts)
 			p := pts[rng.Intn(len(pts))]
+			ix, iy := g.cellCoords(p)
 			seen := map[int]int{}
-			bound := 0.0
-			var pending []int
-			flush := func(nextBound float64) {
-				// Every point of the just-finished ring must respect the
-				// bound under which it was enumerated.
-				for _, j := range pending {
+			for r := 0; r <= g.maxRing(ix, iy); r++ {
+				bound := g.ringLowerBound(p, ix, iy, r)
+				g.visitRing(ix, iy, r, func(j int32) {
+					seen[int(j)]++
 					if d := p.Dist(pts[j]); d < bound-safetyMargin(bound) {
-						t.Fatalf("point %d at distance %v violates ring bound %v", j, d, bound)
+						t.Fatalf("point %d at distance %v violates ring %d bound %v", j, d, r, bound)
 					}
-				}
-				pending = pending[:0]
-				bound = nextBound
+				})
 			}
-			g.VisitRings(p,
-				func(lb float64) bool { flush(lb); return true },
-				func(j int) { seen[j]++; pending = append(pending, j) })
 			if len(seen) != len(pts) {
 				t.Fatalf("enumerated %d of %d points", len(seen), len(pts))
 			}

@@ -70,41 +70,6 @@ func TestGridCells(t *testing.T) {
 	}
 }
 
-func TestLocate(t *testing.T) {
-	sites := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, 10)}
-	d, err := New(sites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		name string
-		p    geom.Point
-		want int
-	}{
-		{"near 0", geom.Pt(1, 1), 0},
-		{"near 1", geom.Pt(9, -1), 1},
-		{"near 2", geom.Pt(5, 9), 2},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := d.Locate(tt.p); got != tt.want {
-				t.Errorf("Locate(%v) = %d, want %d", tt.p, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestMinGranularRadius(t *testing.T) {
-	sites := []geom.Point{geom.Pt(0, 0), geom.Pt(2, 0), geom.Pt(100, 0)}
-	d, err := New(sites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.MinGranularRadius(); !geom.ApproxEq(got, 1) {
-		t.Errorf("MinGranularRadius = %v, want 1", got)
-	}
-}
-
 func randomSites(rng *rand.Rand, n int) []geom.Point {
 	sites := make([]geom.Point, 0, n)
 	for len(sites) < n {
@@ -123,108 +88,16 @@ func randomSites(rng *rand.Rand, n int) []geom.Point {
 	return sites
 }
 
-// TestPrunedParity pins the grid-pruned construction to the brute-force
-// twin: granular radii and nearest-site indices must match EXACTLY (bit
-// for bit — the protocols consume these), and region polygons must match
-// as vertex rings up to a cyclic rotation within 1e-9. Exact region
-// bytes are unattainable: the full scan clips far sites against
-// still-huge intermediate regions, and those intermediate crossing
-// vertices shift the final floats by ~1e-13 and rotate the ring's
-// starting vertex. newPruned is called directly so the small site
-// counts exercise pruning even though New routes n < pruneMinSites to
-// the scan.
-func TestPrunedParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for _, n := range []int{2, 3, 64, 512} {
-		layouts := map[string][]geom.Point{"random": randomSites(rng, n)}
-		if n >= 64 {
-			// Clustered sites stress ring expansion and the fallback.
-			clustered := make([]geom.Point, 0, n)
-			for len(clustered) < n {
-				cx, cy := rng.Float64()*100, rng.Float64()*100
-				for k := 0; k < 8 && len(clustered) < n; k++ {
-					p := geom.Pt(cx+rng.NormFloat64(), cy+rng.NormFloat64())
-					ok := true
-					for _, q := range clustered {
-						if p.Dist(q) < 1e-3 {
-							ok = false
-						}
-					}
-					if ok {
-						clustered = append(clustered, p)
-					}
-				}
-			}
-			layouts["clustered"] = clustered
-		}
-		for name, sites := range layouts {
-			got, err := newPruned(sites)
-			if err != nil {
-				t.Fatalf("%s/n=%d: newPruned: %v", name, n, err)
-			}
-			want, err := newBrute(sites)
-			if err != nil {
-				t.Fatalf("%s/n=%d: newBrute: %v", name, n, err)
-			}
-			for i := 0; i < n; i++ {
-				gc, wc := got.Cell(i), want.Cell(i)
-				if gc.Granular.R != wc.Granular.R {
-					t.Fatalf("%s/n=%d cell %d: granular %v != brute %v", name, n, i, gc.Granular.R, wc.Granular.R)
-				}
-				if gc.NearestSite != wc.NearestSite {
-					t.Fatalf("%s/n=%d cell %d: nearest %d != brute %d", name, n, i, gc.NearestSite, wc.NearestSite)
-				}
-				gv, wv := gc.Region.Vertices(), wc.Region.Vertices()
-				if len(gv) != len(wv) {
-					t.Fatalf("%s/n=%d cell %d: %d vertices != brute %d", name, n, i, len(gv), len(wv))
-				}
-				if !ringsMatch(gv, wv, 1e-9) {
-					t.Fatalf("%s/n=%d cell %d: region rings differ:\n%v\n%v", name, n, i, gv, wv)
-				}
-			}
+// nearestSite returns the index of the site nearest to p, ties to the
+// lowest index.
+func nearestSite(sites []geom.Point, p geom.Point) int {
+	best, bestDist := 0, math.Inf(1)
+	for i, q := range sites {
+		if d := q.Dist(p); d < bestDist {
+			best, bestDist = i, d
 		}
 	}
-}
-
-// ringsMatch reports whether two vertex rings describe the same polygon:
-// equal up to a cyclic rotation, each vertex within tol of its
-// counterpart.
-func ringsMatch(a, b []geom.Point, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 {
-		return true
-	}
-	for shift := range b {
-		ok := true
-		for k := range a {
-			if a[k].Dist(b[(k+shift)%len(b)]) > tol {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
-}
-
-// TestPrunedCoincidentParity pins the grid coincidence check to the
-// lexicographic pair the all-pairs scan reports.
-func TestPrunedCoincidentParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	sites := randomSites(rng, 40)
-	sites[31] = sites[7] // duplicate: scan order reports (7, 31)
-	_, err := newPruned(sites)
-	var coincident *ErrCoincidentSites
-	if !errors.As(err, &coincident) {
-		t.Fatalf("err = %v, want ErrCoincidentSites", err)
-	}
-	if coincident.I != 7 || coincident.J != 31 {
-		t.Errorf("coincident indices = (%d,%d), want (7,31)", coincident.I, coincident.J)
-	}
+	return best
 }
 
 // Property: every site is inside its own cell, and the cell's region
@@ -245,7 +118,7 @@ func TestPropertyCellMembership(t *testing.T) {
 		// Sample random points and cross-check nearest-site semantics.
 		for s := 0; s < 50; s++ {
 			p := geom.Pt(rng.Float64()*100, rng.Float64()*100)
-			nearest := d.Locate(p)
+			nearest := nearestSite(sites, p)
 			for i, c := range d.Cells() {
 				in := c.Region.Contains(p)
 				if i == nearest && !in {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"waggle/internal/sim"
 )
 
 // square returns four robot positions.
@@ -25,6 +27,9 @@ func TestNewSwarmValidation(t *testing.T) {
 	}
 	if _, err := NewSwarm([]Point{{0, 0}, {0, 0}}); err == nil {
 		t.Error("coincident robots accepted")
+	}
+	if _, err := NewSwarm([]Point{{0, 0}, {math.NaN(), 1}, {5, 5}}); !errors.Is(err, sim.ErrNonFinitePosition) {
+		t.Errorf("NaN position: err = %v, want sim.ErrNonFinitePosition", err)
 	}
 }
 
